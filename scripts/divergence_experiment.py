@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     )
     pair = build_onehot_twin(build_network(config))
     stream = synthetic_stream(args.stream_seed, 37, 3, 1, args.steps)
-    trace = lockstep_train(pair, stream, SgdConfig(args.lr, args.steps, args.seed))
+    trace = lockstep_train(pair, stream, SgdConfig(args.lr, args.steps))
 
     print("step,divergence,loss_augmented,loss_onehot,budget")
     for step in range(len(trace)):

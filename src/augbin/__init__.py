@@ -11,10 +11,8 @@ binary-encoding cost.
 from .bitcode import BitCode, CategoryVocab, bit_width, build_vocab, decode, encode
 from .counters import OpCounters, expected_counts
 from .data import (
-    CompositeRegistry,
     Dataset,
     DatasetSchema,
-    composite_id,
     load_csv,
     load_csv_split,
     save_csv,
@@ -93,7 +91,6 @@ __all__ = [
     "BinaryLayer",
     "BitCode",
     "CategoryVocab",
-    "CompositeRegistry",
     "Dataset",
     "DatasetSchema",
     "DenseLayer",
@@ -125,7 +122,6 @@ __all__ = [
     "build_onehot_twin",
     "build_vocab",
     "check_gradients",
-    "composite_id",
     "contributions_matrix",
     "decode",
     "divergence_budget",

@@ -35,6 +35,7 @@ from .errors import (
     VocabMissError,
 )
 from .harness import VerifyConfig, run_verification
+from .layers import ENCODERS
 from .network import (
     Activation,
     NetworkConfig,
@@ -51,7 +52,6 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-ENCODER_KINDS = ("onehot", "binary", "augmented")
 FAULT_CHOICES = ("skip-category-memory",)
 BENCH_STEPS = 5
 BENCH_LEARNING_RATE = 0.1
@@ -132,7 +132,7 @@ def _build_parser() -> _Parser:
 
     train = sub.add_parser("train", help="train one network on a CSV dataset")
     train.add_argument("--data", default=s)
-    train.add_argument("--encoding", choices=ENCODER_KINDS, default=s)
+    train.add_argument("--encoding", choices=tuple(ENCODERS), default=s)
     train.add_argument("--folded", action="store_true", default=s,
                        help="use the bias-folded forward arrangement")
     train.add_argument("--lr", type=float, default=s)
@@ -215,7 +215,7 @@ def _parse_options(argv) -> tuple[str, dict]:
         if options[key] is None:
             raise UsageError(f"missing --{key.replace('_', '-')}")
     if "encoding" in options and options["encoding"] is not None:
-        if options["encoding"] not in ENCODER_KINDS:
+        if options["encoding"] not in tuple(ENCODERS):  # a config value may be unhashable
             raise UsageError(f"unknown encoding {options['encoding']!r}")
     if options.get("fault") is not None and options["fault"] not in FAULT_CHOICES:
         raise UsageError(f"unknown fault {options['fault']!r}")
@@ -297,7 +297,7 @@ def _cmd_train(options: dict) -> int:
     losses = run_sgd(
         network,
         list(dataset.examples()),
-        SgdConfig(options["lr"], options["steps"], options["seed"]),
+        SgdConfig(options["lr"], options["steps"]),
         counters,
     )
     elapsed = time.perf_counter() - started
@@ -423,7 +423,7 @@ def _cmd_bench(options: dict) -> int:
     lines = [BENCH_CSV_HEADER]
     if options["reps"] > 0:
         for n_categories in sizes:
-            for kind in ENCODER_KINDS:
+            for kind in ENCODERS:
                 row = _bench_cell(kind, n_categories, options["k"], options["reps"], options["seed"])
                 lines.append(",".join(str(row[column]) for column in BENCH_CSV_HEADER.split(",")))
     text = "\n".join(lines) + "\n"

@@ -2,9 +2,8 @@
 
 CSV convention: UTF-8, comma separated, one header row.  Numeric cells are
 never quoted; categorical cells are quoted only when they contain a comma.
-Multi-label categorical cells separate their labels with ``|``.  Floats are
-written with 17 significant digits so a save/load cycle reproduces the exact
-64-bit values.
+Floats are written with 17 significant digits so a save/load cycle reproduces
+the exact 64-bit values.
 
 When no explicit schema is given, the first column is the categorical
 feature, the last column is the target, and everything between is numeric.
@@ -14,15 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcode import CategoryVocab, bit_width, build_vocab
-from .errors import InvalidArgumentError, ParseError, VocabMissError
+from .bitcode import CategoryVocab, build_vocab
+from .errors import InvalidArgumentError, ParseError
 from .rng import SplitMix64
-
-LABEL_SEPARATOR = "|"
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,6 @@ class DatasetSchema:
     categorical: str
     numerics: tuple[str, ...]
     target: str
-    multi_label: bool = False
 
     def __post_init__(self):
         names = [self.categorical, *self.numerics, self.target]
@@ -40,14 +36,13 @@ class DatasetSchema:
             raise InvalidArgumentError("schema column names must be distinct")
 
     @classmethod
-    def from_header(cls, header, multi_label: bool = False) -> "DatasetSchema":
+    def from_header(cls, header) -> "DatasetSchema":
         if len(header) < 2:
             raise ParseError("header needs at least a categorical and a target column")
         return cls(
             categorical=header[0],
             numerics=tuple(header[1:-1]),
             target=header[-1],
-            multi_label=multi_label,
         )
 
 
@@ -91,59 +86,6 @@ class Dataset:
             yield self.categories[row], self.numerics[row], self.targets[row]
 
 
-@dataclass
-class CompositeRegistry:
-    """Maps label sets to category ids, extending a base vocabulary.
-
-    Singleton sets keep their base id; every new multi-label set gets the
-    next free id in first-seen order.  The extended category count and the
-    bit width it implies grow as sets are registered.
-    """
-
-    base: CategoryVocab
-    _extra: dict[tuple[str, ...], int] = field(default_factory=dict)
-
-    def id_for(self, labels) -> int:
-        key = tuple(sorted(set(labels)))
-        if not key:
-            raise InvalidArgumentError("label set must be nonempty")
-        if len(key) == 1:
-            return self.base.id_of(key[0])
-        if key not in self._extra:
-            self._extra[key] = self.base.size + len(self._extra) + 1
-        return self._extra[key]
-
-    def lookup(self, labels) -> int:
-        """Like id_for but never registers; unknown sets raise VocabMissError."""
-        key = tuple(sorted(set(labels)))
-        if not key:
-            raise InvalidArgumentError("label set must be nonempty")
-        if len(key) == 1:
-            return self.base.id_of(key[0])
-        if key not in self._extra:
-            raise VocabMissError(f"unseen label set {key}")
-        return self._extra[key]
-
-    @property
-    def size(self) -> int:
-        return self.base.size + len(self._extra)
-
-    @property
-    def width(self) -> int:
-        return bit_width(self.size)
-
-    def extended_vocab(self) -> CategoryVocab:
-        labels = list(self.base.labels)
-        for key, _ in sorted(self._extra.items(), key=lambda item: item[1]):
-            labels.append(LABEL_SEPARATOR.join(key))
-        return CategoryVocab(labels=tuple(labels))
-
-
-def composite_id(labels, registry: CompositeRegistry) -> int:
-    """Category id for a label set; order inside the set never matters."""
-    return registry.id_for(labels)
-
-
 def _parse_float(token: str, row: int, column: str) -> float:
     try:
         value = float(token)
@@ -177,7 +119,7 @@ def _parse_table(path, schema: DatasetSchema | None):
     num_idx = [header.index(name) for name in schema.numerics]
     target_idx = header.index(schema.target)
 
-    raw_labels: list = []
+    raw_labels: list[str] = []
     numerics = np.zeros((len(rows), len(num_idx)))
     targets = np.zeros((len(rows), 1))
     for row_number, row in enumerate(rows, start=1):
@@ -186,46 +128,24 @@ def _parse_table(path, schema: DatasetSchema | None):
                 f"expected {len(header)} cells, found {len(row)}", row=row_number
             )
         cell = row[cat_idx]
-        if schema.multi_label:
-            parts = tuple(part for part in cell.split(LABEL_SEPARATOR) if part)
-            if not parts:
-                raise ParseError("empty label set", row=row_number, column=schema.categorical)
-            raw_labels.append(parts)
-        else:
-            if not cell:
-                raise ParseError("empty category", row=row_number, column=schema.categorical)
-            raw_labels.append(cell)
+        if not cell:
+            raise ParseError("empty category", row=row_number, column=schema.categorical)
+        raw_labels.append(cell)
         for j, idx in enumerate(num_idx):
             numerics[row_number - 1, j] = _parse_float(row[idx], row_number, schema.numerics[j])
         targets[row_number - 1, 0] = _parse_float(row[target_idx], row_number, schema.target)
     return schema, raw_labels, numerics, targets
 
 
-def _build_mapping(schema: DatasetSchema, raw_labels):
-    """Vocabulary plus id mapper for parsed label cells."""
-    if schema.multi_label:
-        seen: set[str] = set()
-        for parts in raw_labels:
-            seen.update(parts)
-        registry = CompositeRegistry(base=build_vocab(sorted(seen)))
-        for parts in raw_labels:
-            registry.id_for(parts)
-        return registry.extended_vocab(), registry.lookup
-    vocab = build_vocab(raw_labels)
-    return vocab, vocab.id_of
-
-
 def load_csv(path, schema: DatasetSchema | None = None) -> Dataset:
     """Parse a CSV file into a dataset, building the vocabulary as specified.
 
-    Single-label vocabularies sort distinct labels lexicographically, so ids
-    are independent of row order.  Multi-label mode builds the base
-    vocabulary from all labels seen inside cells, then registers each
-    distinct label set in first-seen row order.
+    The vocabulary sorts distinct labels lexicographically, so ids are
+    independent of row order.
     """
     schema, raw_labels, numerics, targets = _parse_table(path, schema)
-    vocab, id_for = _build_mapping(schema, raw_labels)
-    categories = [id_for(label) for label in raw_labels]
+    vocab = build_vocab(raw_labels)
+    categories = [vocab.id_of(label) for label in raw_labels]
     return Dataset(vocab=vocab, categories=categories, numerics=numerics, targets=targets, schema=schema)
 
 
@@ -238,15 +158,15 @@ def load_csv_split(path, eval_fraction: float, seed: int, schema: DatasetSchema 
     """
     schema, raw_labels, numerics, targets = _parse_table(path, schema)
     train_idx, eval_idx = split_rows(len(raw_labels), eval_fraction, seed)
-    vocab, id_for = _build_mapping(schema, [raw_labels[i] for i in train_idx])
+    vocab = build_vocab([raw_labels[i] for i in train_idx])
     train = Dataset(
         vocab=vocab,
-        categories=[id_for(raw_labels[i]) for i in train_idx],
+        categories=[vocab.id_of(raw_labels[i]) for i in train_idx],
         numerics=numerics[train_idx],
         targets=targets[train_idx],
         schema=schema,
     )
-    eval_examples = [(id_for(raw_labels[i]), numerics[i], targets[i]) for i in eval_idx]
+    eval_examples = [(vocab.id_of(raw_labels[i]), numerics[i], targets[i]) for i in eval_idx]
     return train, eval_examples
 
 

@@ -22,17 +22,7 @@ from .network import Network, mse_loss
 
 def param_arrays(network: Network) -> list[tuple[str, np.ndarray]]:
     """Named live parameter arrays, in a stable order."""
-    enc = network.encoder
-    out: list[tuple[str, np.ndarray]] = []
-    if isinstance(enc, OneHotLayer):
-        out.append(("encoder.cat_weights", enc.cat_weights))
-    else:
-        out.append(("encoder.bit_weights", enc.bit_weights))
-    out.append(("encoder.num_weights", enc.num_weights))
-    out.append(("encoder.bias", enc.bias))
-    if isinstance(enc, AugmentedBinaryLayer):
-        out.append(("encoder.cat_memory", enc.cat_memory))
-        out.append(("encoder.bit_memory", enc.bit_memory))
+    out = [(f"encoder.{name}", arr) for name, arr in network.encoder.params()]
     for idx, layer in enumerate(network.layers):
         out.append((f"layers[{idx}].weights", layer.weights))
         out.append((f"layers[{idx}].bias", layer.bias))

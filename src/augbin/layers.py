@@ -1,10 +1,27 @@
 """First-layer encoders for one categorical feature plus dense numeric features.
 
-Three interchangeable encoders share a single contract:
+Every encoder derives from :class:`Encoder` and keeps one contract:
 
     forward(category, numerics, counters=None)       -> pre-activation (K,)
     apply_update(category, numerics, delta, counters=None)
     effective_contribution(category)                  -> (K,)
+
+The three encoders differ only in how they build the category term: one-hot
+reads one weight row per category, binary sums one weight row per one-bit of
+the category's code, and augmented binary adds two correction memories to
+the binary sum.  :data:`ENCODERS` maps each ``kind`` name to its class and is
+the one list of encoder kinds.
+
+The base owns what the three share: input validation, ``k``,
+``n_numeric``, the named parameter arrays (``params``) and their count,
+and the numeric-then-bias tail of the forward pass and of the update.
+``_BitEncoder`` adds what binary and augmented share: the bit width, the
+one-bit positions of a category, the bit-row sum, and the seeded draws of a
+fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
+``np.ndarray`` field is a trained parameter), ``n_categories``, validation
+of its own categorical arrays, and defines ``forward``, ``apply_update`` and
+``effective_contribution`` itself, so that each method can be patched on
+its own class.
 
 ``delta`` is the per-neuron step ``lr * dLoss/dz_k`` computed once by the
 engine and consumed verbatim by every parameter family an encoder owns.
@@ -19,15 +36,15 @@ weights, because bit-weight entries legitimately change for overlapping
 categories while the forward-pass value does not.
 
 Evaluation order is normative and load-bearing for cross-implementation
-equality: categorical terms in ascending bit/row order, then numeric terms
-in ascending feature order, then bias, then the memory corrections.  Every
-accumulation below runs in ascending index order with one accumulator per
-output neuron.
+equality, and each ``forward`` spells it out: categorical terms in ascending
+bit/row order, then numeric terms in ascending feature order, then bias,
+then the memory corrections.  Every accumulation below runs in ascending
+index order with one accumulator per output neuron.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,9 +55,12 @@ from .rng import SplitMix64
 
 
 def _as_matrix(value, rows, cols, name) -> np.ndarray:
+    """``value`` as a float (rows, cols) array; ``rows=None`` accepts any row count."""
     arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (rows, cols):
-        raise InvalidArgumentError(f"{name} must have shape {(rows, cols)}, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != cols or (rows is not None and arr.shape[0] != rows):
+        raise InvalidArgumentError(
+            f"{name} must have shape {(rows if rows is not None else 'any', cols)}, got {arr.shape}"
+        )
     return arr
 
 
@@ -51,15 +71,60 @@ def _as_vector(value, length, name) -> np.ndarray:
     return arr
 
 
-def _check_numerics(numerics, expected) -> np.ndarray:
-    x = np.asarray(numerics, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != expected:
-        raise InvalidArgumentError(f"expected {expected} numeric features, got shape {x.shape}")
-    return x
+class Encoder:
+    """Base of the first-layer encoders; see the module docstring."""
+
+    kind: str  # key in ENCODERS
+    num_weights: np.ndarray  # (d, K)
+    bias: np.ndarray  # (K,)
+
+    def __post_init__(self):
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.num_weights = _as_matrix(self.num_weights, None, self.k, "num_weights")
+
+    @property
+    def k(self) -> int:
+        return self.bias.shape[0]
+
+    @property
+    def n_numeric(self) -> int:
+        return self.num_weights.shape[0]
+
+    def params(self) -> list[tuple[str, np.ndarray]]:
+        """Named live parameter arrays: the array fields, in declaration order."""
+        named = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return [(name, value) for name, value in named if isinstance(value, np.ndarray)]
+
+    @property
+    def param_count(self) -> int:
+        return sum(arr.size for _, arr in self.params())
+
+    def _check_category(self, category: int) -> None:
+        if not 1 <= int(category) <= self.n_categories:
+            raise RangeError(f"category {category} out of 1..{self.n_categories}")
+
+    def _check_example(self, category: int, numerics) -> np.ndarray:
+        """Validate one input; returns the numeric features as a float vector."""
+        self._check_category(category)
+        x = np.asarray(numerics, dtype=np.float64)
+        if x.ndim != 1 or x.shape[0] != self.n_numeric:
+            raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
+        return x
+
+    def _add_numerics_and_bias(self, z: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Forward tail: numeric terms in ascending feature order, then ``bias``."""
+        for j in range(self.n_numeric):
+            z += self.num_weights[j] * x[j]
+        z += bias
+        return z
+
+    def _update_numerics_and_bias(self, x: np.ndarray, delta: np.ndarray) -> None:
+        self.num_weights -= np.outer(x, delta)
+        self.bias -= delta
 
 
 @dataclass
-class OneHotLayer:
+class OneHotLayer(Encoder):
     """One weight row per category; updates touch only the active row."""
 
     kind = "onehot"
@@ -69,14 +134,8 @@ class OneHotLayer:
     bias: np.ndarray  # (K,)
 
     def __post_init__(self):
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        k = self.bias.shape[0]
-        self.cat_weights = np.asarray(self.cat_weights, dtype=np.float64)
-        if self.cat_weights.ndim != 2 or self.cat_weights.shape[1] != k:
-            raise InvalidArgumentError("cat_weights must be (N, K)")
-        self.num_weights = _as_matrix(
-            self.num_weights, np.asarray(self.num_weights).shape[0], k, "num_weights"
-        )
+        super().__post_init__()
+        self.cat_weights = _as_matrix(self.cat_weights, None, self.k, "cat_weights")
 
     @classmethod
     def fresh(cls, n_categories: int, n_numeric: int, k: int, stream: SplitMix64) -> "OneHotLayer":
@@ -88,44 +147,22 @@ class OneHotLayer:
         )
 
     @property
-    def k(self) -> int:
-        return self.bias.shape[0]
-
-    @property
     def n_categories(self) -> int:
         return self.cat_weights.shape[0]
 
-    @property
-    def n_numeric(self) -> int:
-        return self.num_weights.shape[0]
-
-    @property
-    def param_count(self) -> int:
-        return self.cat_weights.size + self.num_weights.size + self.bias.size
-
-    def _check_category(self, category: int) -> None:
-        if not 1 <= int(category) <= self.n_categories:
-            raise RangeError(f"category {category} out of 1..{self.n_categories}")
-
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
-        z = self.cat_weights[category - 1].copy()
-        for j in range(self.n_numeric):
-            z += self.num_weights[j] * x[j]
-        z += self.bias
+        x = self._check_example(category, numerics)
+        z = self._add_numerics_and_bias(self.cat_weights[category - 1].copy(), x, self.bias)
         if counters is not None:
             counters.encoding_madds_dense += self.n_categories * self.k
             counters.encoding_madds_sparse += self.k
         return z
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
+        x = self._check_example(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
         self.cat_weights[category - 1] -= delta
-        self.num_weights -= np.outer(x, delta)
-        self.bias -= delta
+        self._update_numerics_and_bias(x, delta)
         if counters is not None:
             counters.encoding_param_updates += self.k
 
@@ -134,8 +171,48 @@ class OneHotLayer:
         return self.cat_weights[category - 1].copy()
 
 
+class _BitEncoder(Encoder):
+    """Shared level of the encoders that sum one weight row per one-bit.
+
+    A subclass supplies ``_from_draws(n_categories, **arrays)``, which builds
+    the layer from the arrays that :meth:`fresh` drew.
+    """
+
+    bit_weights: np.ndarray  # (n, K)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.bit_weights = _as_matrix(self.bit_weights, bit_width(self.n_categories), self.k, "bit_weights")
+
+    @classmethod
+    def fresh(cls, n_categories: int, n_numeric: int, k: int, stream: SplitMix64) -> "_BitEncoder":
+        """Draw bit rows, then numeric rows, at radius 1/sqrt(width); the rest start at zero."""
+        width = bit_width(n_categories)
+        radius = 1.0 / np.sqrt(width)
+        return cls._from_draws(
+            n_categories,
+            bit_weights=stream.symmetric_array((width, k), radius),
+            num_weights=stream.symmetric_array((n_numeric, k), radius),
+            bias=np.zeros(k),
+        )
+
+    @property
+    def width(self) -> int:
+        return self.bit_weights.shape[0]
+
+    def _positions(self, category: int) -> tuple[int, ...]:
+        return encode(category, self.width).positions
+
+    def _bit_sum(self, positions) -> np.ndarray:
+        """Categorical term: the weight rows of the one-bits, in ascending bit order."""
+        z = np.zeros(self.k)
+        for i in positions:
+            z += self.bit_weights[i - 1]
+        return z
+
+
 @dataclass
-class BinaryLayer:
+class BinaryLayer(_BitEncoder):
     """One weight row per bit; the deliberate negative control.
 
     A step for one category moves every other category that shares a one-bit
@@ -149,86 +226,36 @@ class BinaryLayer:
     num_weights: np.ndarray  # (d, K)
     bias: np.ndarray  # (K,)
 
-    def __post_init__(self):
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        k = self.bias.shape[0]
-        width = bit_width(self.n_categories)
-        self.bit_weights = _as_matrix(self.bit_weights, width, k, "bit_weights")
-        self.num_weights = _as_matrix(
-            self.num_weights, np.asarray(self.num_weights).shape[0], k, "num_weights"
-        )
-
     @classmethod
-    def fresh(cls, n_categories: int, n_numeric: int, k: int, stream: SplitMix64) -> "BinaryLayer":
-        width = bit_width(n_categories)
-        radius = 1.0 / np.sqrt(width)
-        return cls(
-            n_categories=n_categories,
-            bit_weights=stream.symmetric_array((width, k), radius),
-            num_weights=stream.symmetric_array((n_numeric, k), radius),
-            bias=np.zeros(k),
-        )
-
-    @property
-    def k(self) -> int:
-        return self.bias.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bit_weights.shape[0]
-
-    @property
-    def n_numeric(self) -> int:
-        return self.num_weights.shape[0]
-
-    @property
-    def param_count(self) -> int:
-        return self.bit_weights.size + self.num_weights.size + self.bias.size
-
-    def _check_category(self, category: int) -> None:
-        if not 1 <= int(category) <= self.n_categories:
-            raise RangeError(f"category {category} out of 1..{self.n_categories}")
-
-    def _positions(self, category: int) -> tuple[int, ...]:
-        return encode(category, self.width).positions
+    def _from_draws(cls, n_categories: int, **arrays) -> "BinaryLayer":
+        return cls(n_categories=n_categories, **arrays)
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
+        x = self._check_example(category, numerics)
         positions = self._positions(category)
-        z = np.zeros(self.k)
-        for i in positions:
-            z += self.bit_weights[i - 1]
-        for j in range(self.n_numeric):
-            z += self.num_weights[j] * x[j]
-        z += self.bias
+        z = self._add_numerics_and_bias(self._bit_sum(positions), x, self.bias)
         if counters is not None:
             counters.encoding_madds_dense += self.width * self.k
             counters.encoding_madds_sparse += len(positions) * self.k
         return z
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
+        x = self._check_example(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
         positions = self._positions(category)
         for i in positions:
             self.bit_weights[i - 1] -= delta
-        self.num_weights -= np.outer(x, delta)
-        self.bias -= delta
+        self._update_numerics_and_bias(x, delta)
         if counters is not None:
             counters.encoding_param_updates += len(positions) * self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
         self._check_category(category)
-        z = np.zeros(self.k)
-        for i in self._positions(category):
-            z += self.bit_weights[i - 1]
-        return z
+        return self._bit_sum(self._positions(category))
 
 
 @dataclass
-class AugmentedBinaryLayer:
+class AugmentedBinaryLayer(_BitEncoder):
     """Binary encoding plus two correction memories that restore isolation.
 
     ``cat_memory`` (N x K) accumulates, per category, the same deltas that
@@ -252,62 +279,27 @@ class AugmentedBinaryLayer:
     skip_category_memory_update: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        k = self.bias.shape[0]
-        self.cat_memory = np.asarray(self.cat_memory, dtype=np.float64)
-        if self.cat_memory.ndim != 2 or self.cat_memory.shape[1] != k:
-            raise InvalidArgumentError("cat_memory must be (N, K)")
-        width = bit_width(self.cat_memory.shape[0])
-        self.bit_weights = _as_matrix(self.bit_weights, width, k, "bit_weights")
-        self.bit_memory = _as_matrix(self.bit_memory, k, width, "bit_memory")
-        self.num_weights = _as_matrix(
-            self.num_weights, np.asarray(self.num_weights).shape[0], k, "num_weights"
-        )
+        # Checked first: n_categories, and so the bit width, come from it.
+        self.cat_memory = _as_matrix(self.cat_memory, None, len(self.bias), "cat_memory")
+        super().__post_init__()
+        self.bit_memory = _as_matrix(self.bit_memory, self.k, self.width, "bit_memory")
 
     @classmethod
-    def fresh(cls, n_categories: int, n_numeric: int, k: int, stream: SplitMix64) -> "AugmentedBinaryLayer":
-        width = bit_width(n_categories)
-        radius = 1.0 / np.sqrt(width)
-        return cls(
-            bit_weights=stream.symmetric_array((width, k), radius),
-            num_weights=stream.symmetric_array((n_numeric, k), radius),
-            bias=np.zeros(k),
-            cat_memory=np.zeros((n_categories, k)),  # both memories start at zero
-            bit_memory=np.zeros((k, width)),
-        )
-
-    @property
-    def k(self) -> int:
-        return self.bias.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bit_weights.shape[0]
+    def _from_draws(cls, n_categories: int, **arrays) -> "AugmentedBinaryLayer":
+        k, width = arrays["bias"].shape[0], arrays["bit_weights"].shape[0]
+        # Both memories start at zero.
+        return cls(**arrays, cat_memory=np.zeros((n_categories, k)), bit_memory=np.zeros((k, width)))
 
     @property
     def n_categories(self) -> int:
         return self.cat_memory.shape[0]
 
-    @property
-    def n_numeric(self) -> int:
-        return self.num_weights.shape[0]
-
-    @property
-    def param_count(self) -> int:
-        return (
-            self.bit_weights.size
-            + self.num_weights.size
-            + self.bias.size
-            + self.cat_memory.size
-            + self.bit_memory.size
-        )
-
-    def _check_category(self, category: int) -> None:
-        if not 1 <= int(category) <= self.n_categories:
-            raise RangeError(f"category {category} out of 1..{self.n_categories}")
-
-    def _positions(self, category: int) -> tuple[int, ...]:
-        return encode(category, self.width).positions
+    def _add_memories(self, z: np.ndarray, category: int, positions) -> np.ndarray:
+        """Add the category's memory row, then subtract the memory of each one-bit."""
+        z += self.cat_memory[category - 1]
+        for i in positions:
+            z -= self.bit_memory[:, i - 1]
+        return z
 
     def _count_forward(self, counters: OpCounters | None, ones: int) -> None:
         if counters is not None:
@@ -316,18 +308,10 @@ class AugmentedBinaryLayer:
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         """Bit rows + numeric terms + bias + category memory - bit memories."""
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
+        x = self._check_example(category, numerics)
         positions = self._positions(category)
-        z = np.zeros(self.k)
-        for i in positions:
-            z += self.bit_weights[i - 1]
-        for j in range(self.n_numeric):
-            z += self.num_weights[j] * x[j]
-        z += self.bias
-        z += self.cat_memory[category - 1]
-        for i in positions:
-            z -= self.bit_memory[:, i - 1]
+        z = self._add_numerics_and_bias(self._bit_sum(positions), x, self.bias)
+        z = self._add_memories(z, category, positions)
         self._count_forward(counters, len(positions))
         return z
 
@@ -337,19 +321,10 @@ class AugmentedBinaryLayer:
         Agrees with :meth:`forward` to within accumulated rounding noise
         (budgeted at 1e-12 absolute per component).
         """
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
+        x = self._check_example(category, numerics)
         positions = self._positions(category)
-        adjusted = self.bias.copy()
-        adjusted += self.cat_memory[category - 1]
-        for i in positions:
-            adjusted -= self.bit_memory[:, i - 1]
-        z = np.zeros(self.k)
-        for i in positions:
-            z += self.bit_weights[i - 1]
-        for j in range(self.n_numeric):
-            z += self.num_weights[j] * x[j]
-        z += adjusted
+        adjusted = self._add_memories(self.bias.copy(), category, positions)
+        z = self._add_numerics_and_bias(self._bit_sum(positions), x, adjusted)
         self._count_forward(counters, len(positions))
         return z
 
@@ -359,8 +334,7 @@ class AugmentedBinaryLayer:
         The bit-row and bit-memory changes cancel in every forward pass, so
         only the category-memory change survives, and only for this category.
         """
-        self._check_category(category)
-        x = _check_numerics(numerics, self.n_numeric)
+        x = self._check_example(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
         positions = self._positions(category)
         for i in positions:
@@ -369,8 +343,7 @@ class AugmentedBinaryLayer:
             self.cat_memory[category - 1] -= delta
         for i in positions:
             self.bit_memory[:, i - 1] -= delta
-        self.num_weights -= np.outer(x, delta)
-        self.bias -= delta
+        self._update_numerics_and_bias(x, delta)
         if counters is not None:
             counters.encoding_param_updates += (2 * len(positions) + 1) * self.k
 
@@ -378,16 +351,12 @@ class AugmentedBinaryLayer:
         """Category-dependent part of the pre-activation."""
         self._check_category(category)
         positions = self._positions(category)
-        z = np.zeros(self.k)
-        for i in positions:
-            z += self.bit_weights[i - 1]
-        z += self.cat_memory[category - 1]
-        for i in positions:
-            z -= self.bit_memory[:, i - 1]
-        return z
+        return self._add_memories(self._bit_sum(positions), category, positions)
 
 
-Encoder = OneHotLayer | BinaryLayer | AugmentedBinaryLayer
+ENCODERS: dict[str, type[Encoder]] = {
+    cls.kind: cls for cls in (OneHotLayer, BinaryLayer, AugmentedBinaryLayer)
+}
 
 
 def contributions_matrix(encoder: Encoder) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import AugmentedBinaryLayer, BinaryLayer, Encoder, OneHotLayer
+from .layers import ENCODERS, AugmentedBinaryLayer, Encoder
 from .rng import SplitMix64
 
 
@@ -239,7 +239,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.encoder_kind not in ("onehot", "binary", "augmented"):
+        if self.encoder_kind not in tuple(ENCODERS):  # the kind may be unhashable
             raise InvalidArgumentError(f"unknown encoder kind {self.encoder_kind!r}")
         if self.n_categories < 1:
             raise InvalidArgumentError("n_categories must be >= 1")
@@ -250,13 +250,6 @@ class NetworkConfig:
         for width in self.hidden:
             if width < 1:
                 raise InvalidArgumentError("hidden widths must be >= 1")
-
-
-_ENCODER_CLASSES = {
-    "onehot": OneHotLayer,
-    "binary": BinaryLayer,
-    "augmented": AugmentedBinaryLayer,
-}
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -270,8 +263,7 @@ def build_network(config: NetworkConfig) -> Network:
     between the binary and augmented encoders exactly.
     """
     stream = SplitMix64(config.seed)
-    encoder_cls = _ENCODER_CLASSES[config.encoder_kind]
-    encoder = encoder_cls.fresh(config.n_categories, config.n_numeric, config.k, stream)
+    encoder = ENCODERS[config.encoder_kind].fresh(config.n_categories, config.n_numeric, config.k, stream)
     layers = []
     fan = config.k
     for idx, width in enumerate(config.hidden):
@@ -293,7 +285,6 @@ def build_network(config: NetworkConfig) -> Network:
 class SgdConfig:
     learning_rate: float
     steps: int
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0.0:
@@ -311,7 +302,10 @@ def mean_loss(network: Network, examples) -> float:
         count += 1
     if count == 0:
         raise InvalidArgumentError("no examples")
-    return total / count
+    loss = total / count
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite mean loss {loss}")
+    return loss
 
 
 def run_sgd(

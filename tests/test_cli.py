@@ -116,6 +116,18 @@ def test_train_time_flag_records_duration(dataset_path, tmp_path):
     assert "train_seconds" in report["timings"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_diverging_learning_rate_exits_1_without_report(tmp_path):
+    data = tmp_path / "d.csv"
+    assert run(["gen", "--seed", "1", "--categories", "8", "--rows", "50",
+                "--out", str(data)]) == EXIT_PASS
+    report_path = tmp_path / "x.json"
+    code = run(["train", "--data", str(data), "--encoding", "onehot", "--lr", "1e160",
+                "--steps", "1", "--report", str(report_path)])
+    assert code == EXIT_FAIL
+    assert not report_path.exists()
+
+
 def test_train_missing_data_file():
     assert run(["train", "--data", "no-such.csv", "--encoding", "onehot"]) == EXIT_IO
 
@@ -220,6 +232,12 @@ def test_config_file_unknown_key(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"stepz": 12}))
     assert run(["verify", "--config", str(config)]) == EXIT_USAGE
+
+
+def test_config_file_unknown_encoding_object(dataset_path, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"encoding": {"kind": "onehot"}}))
+    assert run(["train", "--data", str(dataset_path), "--config", str(config)]) == EXIT_USAGE
 
 
 def test_config_file_bad_json(tmp_path):

@@ -1,4 +1,4 @@
-"""Dataset loading, synthesis, composites, and split tests."""
+"""Dataset loading, synthesis, and split tests."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augbin import (
-    CompositeRegistry,
     Dataset,
     DatasetSchema,
     InvalidArgumentError,
     ParseError,
     SplitMix64,
     VocabMissError,
-    bit_width,
     build_vocab,
-    composite_id,
     load_csv,
     load_csv_split,
     save_csv,
@@ -165,45 +162,6 @@ def test_quoted_labels_with_commas_survive_roundtrip(tmp_path):
     loaded = load_csv(path)
     assert loaded.vocab.labels == vocab.labels
     assert loaded.categories == [2, 1]
-
-
-def test_multi_label_cells_build_composites(tmp_path):
-    path = tmp_path / "multi.csv"
-    path.write_text(
-        "tags,x1,target\n"
-        "a,0.1,1.0\n"
-        "a|b,0.2,2.0\n"
-        "b|a,0.3,3.0\n"
-        "a|c,0.4,4.0\n"
-        "c,0.5,5.0\n"
-    )
-    schema = DatasetSchema(categorical="tags", numerics=("x1",), target="target", multi_label=True)
-    dataset = load_csv(path, schema)
-    # base labels a,b,c get 1..3; sets {a,b} and {a,c} get 4 and 5
-    assert dataset.vocab.size == 5
-    assert dataset.categories == [1, 4, 4, 5, 3]
-    assert dataset.vocab.label_of(4) == "a|b"
-    assert dataset.vocab.width == bit_width(5) == 3
-
-
-def test_composite_registry_basics():
-    registry = CompositeRegistry(base=build_vocab(["a", "b", "c"]))
-    assert composite_id({"a"}, registry) == 1
-    assert composite_id({"a", "b"}, registry) == 4
-    assert composite_id({"b", "a"}, registry) == 4
-    assert composite_id({"a", "c"}, registry) == 5
-    assert registry.size == 5
-    assert registry.width == 3
-    with pytest.raises(InvalidArgumentError):
-        composite_id(set(), registry)
-
-
-def test_composite_registry_lookup_never_registers():
-    registry = CompositeRegistry(base=build_vocab(["a", "b"]))
-    assert registry.lookup({"b"}) == 2
-    with pytest.raises(VocabMissError):
-        registry.lookup({"a", "b"})
-    assert registry.size == 2
 
 
 def test_split_rows_deterministic_partition():

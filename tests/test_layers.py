@@ -18,6 +18,7 @@ from augbin import (
     encode,
     expected_counts,
 )
+from augbin.layers import ENCODERS
 
 
 def _one_hot_fixture():
@@ -276,3 +277,22 @@ def test_contributions_matrix_stacks_all_categories():
 def test_positions_follow_encoding():
     layer = _binary_fixture()
     assert layer._positions(3) == encode(3, 2).positions
+
+
+@pytest.mark.parametrize("cls", list(ENCODERS.values()), ids=list(ENCODERS))
+def test_traced_methods_are_defined_on_each_encoder_class(cls):
+    # The benchmark tracer patches these methods in each class's own __dict__;
+    # a method inherited from a base would be missed without an error.
+    for method in ("forward", "apply_update", "effective_contribution"):
+        assert method in cls.__dict__, f"{cls.__name__}.{method} is inherited"
+
+
+def test_registry_keys_match_kinds():
+    assert list(ENCODERS) == ["onehot", "binary", "augmented"]
+    assert all(cls.kind == kind for kind, cls in ENCODERS.items())
+
+
+def test_params_lists_array_fields_in_order():
+    names = [name for name, _ in _augmented_fixture().params()]
+    assert names == ["bit_weights", "num_weights", "bias", "cat_memory", "bit_memory"]
+    assert [name for name, _ in _binary_fixture().params()] == ["bit_weights", "num_weights", "bias"]

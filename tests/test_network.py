@@ -106,6 +106,8 @@ def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         NetworkConfig(encoder_kind="dense", n_categories=3, n_numeric=0, k=1)
     with pytest.raises(InvalidArgumentError):
+        NetworkConfig(encoder_kind=["onehot"], n_categories=3, n_numeric=0, k=1)
+    with pytest.raises(InvalidArgumentError):
         NetworkConfig(encoder_kind="onehot", n_categories=0, n_numeric=0, k=1)
     with pytest.raises(InvalidArgumentError):
         NetworkConfig(encoder_kind="onehot", n_categories=3, n_numeric=0, k=1, hidden=(0,))
@@ -207,6 +209,14 @@ def test_sgd_config_validation():
         SgdConfig(0.0, 10)
     with pytest.raises(InvalidArgumentError):
         SgdConfig(0.1, -1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_mean_loss_raises_when_not_finite():
+    net = build_network(_config())
+    examples = [(1, np.array([0.0, 0.0]), np.array([1e200]))]  # squared error overflows
+    with pytest.raises(NumericError):
+        mean_loss(net, examples)
 
 
 def test_non_finite_forward_raises():
