@@ -8,7 +8,7 @@ augmented encoder reproduces one-hot behavior category for category at
 binary-encoding cost.
 """
 
-from .bitcode import BitCode, CategoryVocab, bit_width, build_vocab, decode, encode
+from .bitcode import BitCode, CategoryVocab, bit_matrix, bit_width, build_vocab, decode, encode
 from .counters import OpCounters, expected_counts
 from .data import (
     Dataset,
@@ -115,6 +115,7 @@ __all__ = [
     "VerifyConfig",
     "VocabMissError",
     "analytic_gradients",
+    "bit_matrix",
     "bit_overlap",
     "bit_width",
     "brute_force_check",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidArgumentError, RangeError, VocabMissError
 
 
@@ -62,6 +64,21 @@ def encode(category: int, width: int) -> BitCode:
     vector = tuple((category >> i) & 1 for i in range(width))
     positions = tuple(i + 1 for i, bit in enumerate(vector) if bit == 1)
     return BitCode(width=width, positions=positions, vector=vector)
+
+
+def bit_matrix(categories, width: int) -> np.ndarray:
+    """Batched :func:`encode`: row r is ``encode(categories[r], width).vector``.
+
+    ``categories`` is 1-d; returns a ``(len(categories), width)`` bool array,
+    LSB first, with the same checks as :func:`encode` over the whole batch.
+    """
+    if width < 1:
+        raise InvalidArgumentError("width must be positive")
+    ids = np.asarray(categories, dtype=np.int64)
+    bad = (ids < 1) | (ids >= 1 << width)
+    if bad.any():
+        raise RangeError(f"category {ids[bad][0]} not representable at width {width}")
+    return ((ids[:, None] >> np.arange(width)) & 1).astype(bool)
 
 
 def decode(code: BitCode) -> int:

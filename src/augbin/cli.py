@@ -45,6 +45,7 @@ from .network import (
     run_sgd,
 )
 from .report import make_report, render_report, write_report
+from .rng import SplitMix64
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -53,7 +54,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 FAULT_CHOICES = ("skip-category-memory",)
-BENCH_STEPS = 5
+BENCH_STEPS = 256
 BENCH_LEARNING_RATE = 0.1
 BENCH_CSV_HEADER = "encoder,N,n,K,fwd_dense,fwd_sparse,updates,params,median_ns"
 
@@ -371,6 +372,12 @@ def _cmd_verify(options: dict) -> int:
     return EXIT_PASS if outcome.passed else EXIT_FAIL
 
 
+def _bench_schedule(n_categories: int, seed: int) -> list[int]:
+    """BENCH_STEPS categories drawn uniformly from 1..N, so large tables are exercised."""
+    stream = SplitMix64(seed)
+    return [stream.next_below(n_categories) + 1 for _ in range(BENCH_STEPS)]
+
+
 def _bench_cell(kind: str, n_categories: int, k: int, reps: int, seed: int):
     """Time and count BENCH_STEPS training steps; counters must match closed forms."""
     network = build_network(
@@ -384,7 +391,7 @@ def _bench_cell(kind: str, n_categories: int, k: int, reps: int, seed: int):
         )
     )
     width = bit_width(n_categories)
-    schedule = [(step % n_categories) + 1 for step in range(BENCH_STEPS)]
+    schedule = _bench_schedule(n_categories, seed)
     expected = OpCounters()
     for category in schedule:
         cell = expected_counts(kind, n_categories, width, k, category.bit_count())

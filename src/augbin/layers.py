@@ -3,6 +3,7 @@
 Every encoder derives from :class:`Encoder` and keeps one contract:
 
     forward(category, numerics, counters=None)       -> pre-activation (K,)
+    forward_batch(categories, numerics)               -> (B, K), row r == forward(...)
     apply_update(category, numerics, delta, counters=None)
     effective_contribution(category)                  -> (K,)
 
@@ -40,6 +41,13 @@ equality, and each ``forward`` spells it out: categorical terms in ascending
 bit/row order, then numeric terms in ascending feature order, then bias,
 then the memory corrections.  Every accumulation below runs in ascending
 index order with one accumulator per output neuron.
+
+``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
+evaluates B rows at once for loss evaluation.  It keeps that order for every
+row, adding a bit's row only where the bit is set, so each output row equals
+the per-example ``forward`` bit for bit.  It counts no operations: the
+counters describe training steps.  The per-example methods stay the
+training path.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bitcode import bit_width, encode
+from .bitcode import bit_matrix, bit_width, encode
 from .counters import OpCounters
 from .errors import InvalidArgumentError, RangeError
 from .rng import SplitMix64
@@ -111,10 +119,32 @@ class Encoder:
             raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
         return x
 
+    def _check_batch(self, categories, numerics) -> tuple[np.ndarray, np.ndarray]:
+        """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics."""
+        ids = np.asarray(categories, dtype=np.int64)
+        if ids.ndim != 1:
+            raise InvalidArgumentError(f"categories must be 1-d, got shape {ids.shape}")
+        bad = (ids < 1) | (ids > self.n_categories)
+        if bad.any():
+            raise RangeError(f"category {ids[bad][0]} out of 1..{self.n_categories}")
+        x = np.asarray(numerics, dtype=np.float64)
+        if x.shape != (ids.shape[0], self.n_numeric):
+            raise InvalidArgumentError(
+                f"expected {ids.shape[0]} rows of {self.n_numeric} numeric features, got shape {x.shape}"
+            )
+        return ids, x
+
     def _add_numerics_and_bias(self, z: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """Forward tail: numeric terms in ascending feature order, then ``bias``."""
         for j in range(self.n_numeric):
             z += self.num_weights[j] * x[j]
+        z += bias
+        return z
+
+    def _add_numerics_and_bias_batch(self, z: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Batched forward tail, in the same order for every row."""
+        for j in range(self.n_numeric):
+            z += self.num_weights[j] * x[:, j, None]
         z += bias
         return z
 
@@ -157,6 +187,11 @@ class OneHotLayer(Encoder):
             counters.encoding_madds_dense += self.n_categories * self.k
             counters.encoding_madds_sparse += self.k
         return z
+
+    def forward_batch(self, categories, numerics) -> np.ndarray:
+        """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
+        ids, x = self._check_batch(categories, numerics)
+        return self._add_numerics_and_bias_batch(self.cat_weights[ids - 1], x, self.bias)
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         x = self._check_example(category, numerics)
@@ -210,6 +245,17 @@ class _BitEncoder(Encoder):
             z += self.bit_weights[i - 1]
         return z
 
+    def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Batched :meth:`_bit_sum`: each row adds the weight rows of its one-bits, ascending.
+
+        A masked add skips the zero bits, as the scalar loop does; multiplying
+        by the 0/1 bit would turn an infinite weight into NaN.
+        """
+        z = np.zeros((bits.shape[0], self.k))
+        for i in range(self.width):
+            np.add(z, self.bit_weights[i], out=z, where=bits[:, i, None])
+        return z
+
 
 @dataclass
 class BinaryLayer(_BitEncoder):
@@ -238,6 +284,12 @@ class BinaryLayer(_BitEncoder):
             counters.encoding_madds_dense += self.width * self.k
             counters.encoding_madds_sparse += len(positions) * self.k
         return z
+
+    def forward_batch(self, categories, numerics) -> np.ndarray:
+        """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
+        ids, x = self._check_batch(categories, numerics)
+        z = self._bit_sum_batch(bit_matrix(ids, self.width))
+        return self._add_numerics_and_bias_batch(z, x, self.bias)
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         x = self._check_example(category, numerics)
@@ -301,6 +353,13 @@ class AugmentedBinaryLayer(_BitEncoder):
             z -= self.bit_memory[:, i - 1]
         return z
 
+    def _add_memories_batch(self, z: np.ndarray, ids: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """Batched :meth:`_add_memories`, bit memories in ascending bit order."""
+        z += self.cat_memory[ids - 1]
+        for i in range(self.width):
+            np.subtract(z, self.bit_memory[:, i], out=z, where=bits[:, i, None])
+        return z
+
     def _count_forward(self, counters: OpCounters | None, ones: int) -> None:
         if counters is not None:
             counters.encoding_madds_dense += (2 * self.width + 1) * self.k
@@ -327,6 +386,20 @@ class AugmentedBinaryLayer(_BitEncoder):
         z = self._add_numerics_and_bias(self._bit_sum(positions), x, adjusted)
         self._count_forward(counters, len(positions))
         return z
+
+    def forward_batch(self, categories, numerics) -> np.ndarray:
+        """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
+        ids, x = self._check_batch(categories, numerics)
+        bits = bit_matrix(ids, self.width)
+        z = self._add_numerics_and_bias_batch(self._bit_sum_batch(bits), x, self.bias)
+        return self._add_memories_batch(z, ids, bits)
+
+    def forward_batch_folded(self, categories, numerics) -> np.ndarray:
+        """:meth:`forward_folded` of B rows at once, bit for bit."""
+        ids, x = self._check_batch(categories, numerics)
+        bits = bit_matrix(ids, self.width)
+        adjusted = self._add_memories_batch(np.tile(self.bias, (ids.shape[0], 1)), ids, bits)
+        return self._add_numerics_and_bias_batch(self._bit_sum_batch(bits), x, adjusted)
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         """Subtract the same delta from bit rows, category memory, bit memory.

@@ -9,6 +9,14 @@ draw order, all accumulations run in ascending index order, and the per-step
 encoder delta ``lr * dLoss/dz_k`` is computed once and handed to the encoder
 verbatim.  Two networks built from the same seed and fed the same examples
 produce bit-identical parameter trajectories.
+
+Evaluation (:func:`mean_loss`, :meth:`Network.predict_batch`) is batched over
+rows: each layer runs once on a (B, width) array instead of once per row.
+The batch axis is the only new axis; every element is still accumulated in
+the per-example order (category term, numerics, bias, memories; dense fan-in
+ascending; output columns ascending; rows summed left to right), so the
+batched loss equals the one-row-at-a-time loop bit for bit.  That loop,
+``predict`` plus ``mse_loss`` per row, is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -87,6 +95,14 @@ class DenseLayer:
         z += self.bias
         if counters is not None:
             counters.downstream_madds += self.fan_in * self.fan_out
+        return z
+
+    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of B rows at once, bit for bit: (B, fan_in) in, (B, fan_out) out."""
+        z = np.zeros((x.shape[0], self.fan_out))
+        for i in range(self.fan_in):
+            z += self.weights[i] * x[:, i, None]
+        z += self.bias
         return z
 
 
@@ -197,6 +213,25 @@ class Network:
     def predict(self, category: int, numerics=()) -> np.ndarray:
         return self.forward(category, numerics).output
 
+    def predict_batch(self, categories, numerics) -> np.ndarray:
+        """Outputs of B rows, (B, output_width).
+
+        Row r equals ``predict(categories[r], numerics[r])`` bit for bit.
+        """
+        if self.folded_forward and isinstance(self.encoder, AugmentedBinaryLayer):
+            z = self.encoder.forward_batch_folded(categories, numerics)
+        else:
+            z = self.encoder.forward_batch(categories, numerics)
+        if not np.all(np.isfinite(z)):
+            raise NumericError("non-finite encoder pre-activation")
+        a = self.encoder_activation.apply(z)
+        for layer in self.layers:
+            z = layer.forward_batch(a)
+            if not np.all(np.isfinite(z)):
+                raise NumericError("non-finite dense pre-activation")
+            a = layer.activation.apply(z)
+        return a
+
 
 def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
     output = np.asarray(output, dtype=np.float64)
@@ -293,16 +328,58 @@ class SgdConfig:
             raise InvalidArgumentError("steps must be >= 0")
 
 
-def mean_loss(network: Network, examples) -> float:
-    """Mean MSE over (category, numerics, target) triples, ascending order."""
-    total = 0.0
-    count = 0
-    for category, numerics, target in examples:
-        total += mse_loss(network.predict(category, numerics), np.asarray(target, dtype=np.float64))
-        count += 1
-    if count == 0:
+@dataclass(frozen=True)
+class Batch:
+    """Examples stacked once for :func:`mean_loss`: B categories, (B, d) numerics, (B, w) targets."""
+
+    categories: np.ndarray
+    numerics: np.ndarray
+    targets: np.ndarray
+
+
+def _stack_rows(rows, name: str) -> np.ndarray:
+    """Equal-length vectors as one (B, length) float array."""
+    message = f"{name} must be numeric vectors of one length"
+    try:
+        stacked = np.array(rows, dtype=np.float64)
+    except ValueError:  # ragged rows
+        raise InvalidArgumentError(message) from None
+    if stacked.ndim != 2:
+        raise InvalidArgumentError(message)
+    return stacked
+
+
+def stack_examples(examples) -> Batch:
+    """Stack (category, numerics, target) triples into a :class:`Batch`."""
+    examples = list(examples)
+    if not examples:
         raise InvalidArgumentError("no examples")
-    loss = total / count
+    categories, numerics, targets = zip(*examples)
+    return Batch(
+        np.array([int(c) for c in categories], dtype=np.int64),
+        _stack_rows(numerics, "numerics"),
+        _stack_rows(targets, "targets"),
+    )
+
+
+def mean_loss(network: Network, examples) -> float:
+    """Mean MSE over (category, numerics, target) triples, in row order.
+
+    ``examples`` is an iterable of triples or a :class:`Batch`.  All rows go
+    through :meth:`Network.predict_batch` at once; the per-row MSE sums the
+    output columns in ascending order and the rows are summed strictly left
+    to right, as the one-row-at-a-time loop does.
+    """
+    batch = examples if isinstance(examples, Batch) else stack_examples(examples)
+    outputs = network.predict_batch(batch.categories, batch.numerics)
+    if outputs.shape != batch.targets.shape:
+        raise InvalidArgumentError("output and target shapes differ")
+    diff = outputs - batch.targets
+    row_losses = np.zeros(outputs.shape[0])
+    for j in range(outputs.shape[1]):
+        row_losses += diff[:, j] * diff[:, j]
+    row_losses /= outputs.shape[1]
+    loss = np.add.accumulate(row_losses)[-1] / outputs.shape[0]
     if not math.isfinite(loss):
         raise NumericError(f"non-finite mean loss {loss}")
     return loss
@@ -318,7 +395,9 @@ def run_sgd(
     """Train by cycling through examples in order for config.steps steps.
 
     Returns the mean dataset loss before training and after every step when
-    ``track_losses`` is set (length steps + 1), else an empty list.
+    ``track_losses`` is set (length steps + 1), else an empty list.  The
+    examples are stacked into one :class:`Batch` up front, so each of those
+    evaluations is one batched pass.
     """
     examples = [
         (int(c), np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64))
@@ -326,10 +405,11 @@ def run_sgd(
     ]
     if not examples:
         raise InvalidArgumentError("no examples")
-    losses = [mean_loss(network, examples)] if track_losses else []
+    batch = stack_examples(examples) if track_losses else None
+    losses = [mean_loss(network, batch)] if track_losses else []
     for step in range(config.steps):
         category, numerics, target = examples[step % len(examples)]
         network.sgd_step(category, numerics, target, config.learning_rate, counters)
         if track_losses:
-            losses.append(mean_loss(network, examples))
+            losses.append(mean_loss(network, batch))
     return losses

@@ -10,6 +10,7 @@ from augbin import (
     InvalidArgumentError,
     RangeError,
     VocabMissError,
+    bit_matrix,
     bit_width,
     build_vocab,
     decode,
@@ -75,11 +76,26 @@ def test_roundtrip_at_minimal_width(n_categories):
 def test_encode_rejects_out_of_range(category, width):
     with pytest.raises(RangeError):
         encode(category, width)
+    with pytest.raises(RangeError):
+        bit_matrix([1, category], width)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_bit_matrix_rows_are_encode_vectors(width):
+    categories = list(range(1, 2**width))
+    matrix = bit_matrix(categories, width)
+    assert matrix.shape == (len(categories), width)
+    assert [tuple(row) for row in matrix.tolist()] == [encode(c, width).vector for c in categories]
+    assert [tuple(row) for row in bit_matrix(categories[::-1], width).tolist()] == [
+        encode(c, width).vector for c in categories[::-1]
+    ]
 
 
 def test_encode_rejects_zero_width():
     with pytest.raises(InvalidArgumentError):
         encode(1, 0)
+    with pytest.raises(InvalidArgumentError):
+        bit_matrix([1], 0)
 
 
 def test_bitcode_rejects_mismatched_positions():

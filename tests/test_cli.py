@@ -7,11 +7,13 @@ import pytest
 from augbin import read_report, validate_report
 from augbin.cli import (
     BENCH_CSV_HEADER,
+    BENCH_STEPS,
     EXIT_DATA,
     EXIT_FAIL,
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
+    _bench_schedule,
     run,
 )
 
@@ -208,6 +210,15 @@ def test_bench_counters_and_growth(tmp_path):
     # one-hot dense work scales with N; augmented with the bit width
     assert onehot[256] == onehot[16] * 16
     assert augmented[256] < onehot[256]
+
+
+def test_bench_schedule_reaches_the_whole_table_and_is_seeded():
+    schedule = _bench_schedule(256, seed=0)
+    assert len(schedule) == BENCH_STEPS
+    assert all(1 <= category <= 256 for category in schedule)
+    assert max(schedule) > 128
+    assert _bench_schedule(256, seed=0) == schedule
+    assert _bench_schedule(256, seed=1) != schedule
 
 
 def test_bench_zero_reps_gives_header_only(capsys):
