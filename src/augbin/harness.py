@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcode import encode
+from .bitcode import bit_matrix, encode
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
 from .gradcheck import check_gradients
@@ -114,14 +114,22 @@ def probe_inputs(seed: int, n_categories: int, n_numeric: int, count: int):
     return probes
 
 
+def _worst(values) -> float:
+    """Largest of ``values``, 0.0 when there are none; a NaN anywhere gives NaN.
+
+    Python's ``max(0.0, nan)`` is 0.0, which would let a NaN error pass a
+    ``<= tolerance`` check; one array reduction propagates it instead.
+    """
+    return float(np.max(values, initial=0.0))
+
+
 def twin_forward_max_diff(pair: TwinPair, probes) -> float:
     """Largest per-component output difference over (category, numerics) probes."""
-    worst = 0.0
-    for category, numerics in probes:
-        out_a = pair.augmented.predict(category, numerics)
-        out_o = pair.onehot.predict(category, numerics)
-        worst = max(worst, float(np.max(np.abs(out_a - out_o))))
-    return worst
+    categories = [category for category, _ in probes]
+    numerics = np.reshape([x for _, x in probes], (len(categories), pair.augmented.encoder.n_numeric))
+    out_a = pair.augmented.predict_batch(categories, numerics)
+    out_o = pair.onehot.predict_batch(categories, numerics)
+    return _worst(np.abs(out_a - out_o))
 
 
 @dataclass
@@ -195,14 +203,9 @@ def isolation_probe(net: Network, category: int, numerics, target, learning_rate
 
 def isolation_errors(probe: ProbeResult) -> tuple[float, float]:
     """(worst off-category movement, worst on-category deviation from -step)."""
-    n_categories = probe.deltas.shape[0]
-    off = 0.0
-    for c in range(1, n_categories + 1):
-        if c == probe.category:
-            continue
-        off = max(off, float(np.max(np.abs(probe.deltas[c - 1]))))
-    on = float(np.max(np.abs(probe.deltas[probe.category - 1] + probe.encoder_delta)))
-    return off, on
+    off = np.delete(probe.deltas, probe.category - 1, axis=0)
+    on = probe.deltas[probe.category - 1] + probe.encoder_delta
+    return _worst(np.abs(off)), _worst(np.abs(on))
 
 
 def interference_errors(probe: ProbeResult, width: int) -> tuple[float, float]:
@@ -212,16 +215,11 @@ def interference_errors(probe: ProbeResult, width: int) -> tuple[float, float]:
     off-category interference magnitude).  The prediction: a step on c' moves
     category c's contribution by -step * |shared one bits of c and c'|.
     """
-    n_categories = probe.deltas.shape[0]
-    worst = 0.0
-    largest_predicted = 0.0
-    for c in range(1, n_categories + 1):
-        overlap = bit_overlap(c, probe.category, width)
-        predicted = -probe.encoder_delta * overlap
-        worst = max(worst, float(np.max(np.abs(probe.deltas[c - 1] - predicted))))
-        if c != probe.category:
-            largest_predicted = max(largest_predicted, float(np.max(np.abs(predicted))))
-    return worst, largest_predicted
+    bits = bit_matrix(np.arange(1, probe.deltas.shape[0] + 1), width)
+    overlap = (bits & bits[probe.category - 1]).sum(axis=1)
+    predicted = -probe.encoder_delta * overlap[:, None]
+    off_predicted = np.delete(predicted, probe.category - 1, axis=0)
+    return _worst(np.abs(probe.deltas - predicted)), _worst(np.abs(off_predicted))
 
 
 @dataclass(frozen=True)
@@ -398,11 +396,11 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
     drift_ok = all(
         diff <= divergence_budget(step) for step, diff in enumerate(trace.max_output_diffs)
     )
-    max_drift = max(trace.max_output_diffs, default=0.0)
+    max_drift = _worst(trace.max_output_diffs)
 
     retrained_pair = build_onehot_twin(pair.augmented)
     trained_diff = twin_forward_max_diff(retrained_pair, probes)
-    twin_diff = max(fresh_diff, trained_diff)
+    twin_diff = _worst([fresh_diff, trained_diff])
     suites["twin_forward_agreement"] = SuiteOutcome(
         twin_diff <= cfg.tolerance,
         twin_diff,
@@ -420,14 +418,13 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
     if cfg.fault == "skip-category-memory":
         iso_net.encoder.skip_category_memory_update = True
     iso_stream = synthetic_stream(cfg.seed + 3, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes)
-    worst_off = 0.0
-    worst_on = 0.0
+    iso_errors = []
     for category, numerics, target in iso_stream:
         probe = isolation_probe(iso_net, category, numerics, target, cfg.learning_rate)
-        off, on = isolation_errors(probe)
-        worst_off = max(worst_off, off)
-        worst_on = max(worst_on, on)
-    iso_err = max(worst_off, worst_on)
+        iso_errors.append(isolation_errors(probe))
+    offs, ons = np.reshape(iso_errors, (-1, 2)).T
+    worst_off, worst_on = _worst(offs), _worst(ons)
+    iso_err = _worst([worst_off, worst_on])
     suites["isolation"] = SuiteOutcome(
         iso_err <= cfg.tolerance,
         iso_err,
@@ -439,13 +436,12 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
     control_stream = synthetic_stream(
         cfg.seed + 4, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes
     )
-    worst_control = 0.0
-    witnessed = 0.0
+    control_errors = []
     for category, numerics, target in control_stream:
         probe = isolation_probe(control_net, category, numerics, target, cfg.learning_rate)
-        err, predicted = interference_errors(probe, control_net.encoder.width)
-        worst_control = max(worst_control, err)
-        witnessed = max(witnessed, predicted)
+        control_errors.append(interference_errors(probe, control_net.encoder.width))
+    errs, predicted = np.reshape(control_errors, (-1, 2)).T
+    worst_control, witnessed = _worst(errs), _worst(predicted)
     control_ok = worst_control <= cfg.tolerance and (
         cfg.n_categories < 3 or witnessed > cfg.tolerance
     )
@@ -459,13 +455,14 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
     # Folded forward path against the plain path while memories evolve.
     folded_net = build_network(_network_config(cfg, "augmented"))
     folded_stream = synthetic_stream(cfg.seed + 5, cfg.n_categories, cfg.n_numeric, 1, 50)
-    worst_folded = 0.0
+    folded_gaps = []
     for index, (category, numerics, target) in enumerate(folded_stream):
         plain = folded_net.encoder.forward(category, numerics)
         folded = folded_net.encoder.forward_folded(category, numerics)
-        worst_folded = max(worst_folded, float(np.max(np.abs(plain - folded))))
+        folded_gaps.append(np.abs(plain - folded))
         if index % 5 == 0:
             folded_net.sgd_step(category, numerics, target, cfg.learning_rate)
+    worst_folded = _worst(folded_gaps)
     suites["folded_agreement"] = SuiteOutcome(
         worst_folded <= cfg.tolerance,
         worst_folded,

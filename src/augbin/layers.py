@@ -6,6 +6,7 @@ Every encoder derives from :class:`Encoder` and keeps one contract:
     forward_batch(categories, numerics)               -> (B, K), row r == forward(...)
     apply_update(category, numerics, delta, counters=None)
     effective_contribution(category)                  -> (K,)
+    all_contributions()                               -> (N, K), row c-1 == effective_contribution(c)
 
 The three encoders differ only in how they build the category term: one-hot
 reads one weight row per category, binary sums one weight row per one-bit of
@@ -20,9 +21,9 @@ and the numeric-then-bias tail of the forward pass and of the update.
 one-bit positions of a category, the bit-row sum, and the seeded draws of a
 fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
-of its own categorical arrays, and defines ``forward``, ``apply_update`` and
-``effective_contribution`` itself, so that each method can be patched on
-its own class.
+of its own categorical arrays, and defines ``forward``, ``apply_update``,
+``effective_contribution`` and ``all_contributions`` itself, so that each
+method can be patched on its own class.
 
 ``delta`` is the per-neuron step ``lr * dLoss/dz_k`` computed once by the
 engine and consumed verbatim by every parameter family an encoder owns.
@@ -43,11 +44,12 @@ then the memory corrections.  Every accumulation below runs in ascending
 index order with one accumulator per output neuron.
 
 ``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
-evaluates B rows at once for loss evaluation.  It keeps that order for every
-row, adding a bit's row only where the bit is set, so each output row equals
-the per-example ``forward`` bit for bit.  It counts no operations: the
-counters describe training steps.  The per-example methods stay the
-training path.
+evaluates B rows at once for loss evaluation, and ``all_contributions``
+evaluates every category's contribution at once for the harness.  Both keep
+that order for every row, adding a bit's row only where the bit is set, so
+each row equals the per-example method bit for bit.  They count no
+operations: the counters describe training steps.  The per-example methods
+stay the training path.
 """
 
 from __future__ import annotations
@@ -205,6 +207,9 @@ class OneHotLayer(Encoder):
         self._check_category(category)
         return self.cat_weights[category - 1].copy()
 
+    def all_contributions(self) -> np.ndarray:
+        return self.cat_weights.copy()
+
 
 class _BitEncoder(Encoder):
     """Shared level of the encoders that sum one weight row per one-bit.
@@ -237,6 +242,11 @@ class _BitEncoder(Encoder):
 
     def _positions(self, category: int) -> tuple[int, ...]:
         return encode(category, self.width).positions
+
+    def _all_ids_and_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Categories 1..N as an (N,) array and their (N, width) bit matrix."""
+        ids = np.arange(1, self.n_categories + 1)
+        return ids, bit_matrix(ids, self.width)
 
     def _bit_sum(self, positions) -> np.ndarray:
         """Categorical term: the weight rows of the one-bits, in ascending bit order."""
@@ -304,6 +314,10 @@ class BinaryLayer(_BitEncoder):
     def effective_contribution(self, category: int) -> np.ndarray:
         self._check_category(category)
         return self._bit_sum(self._positions(category))
+
+    def all_contributions(self) -> np.ndarray:
+        _, bits = self._all_ids_and_bits()
+        return self._bit_sum_batch(bits)
 
 
 @dataclass
@@ -426,6 +440,10 @@ class AugmentedBinaryLayer(_BitEncoder):
         positions = self._positions(category)
         return self._add_memories(self._bit_sum(positions), category, positions)
 
+    def all_contributions(self) -> np.ndarray:
+        ids, bits = self._all_ids_and_bits()
+        return self._add_memories_batch(self._bit_sum_batch(bits), ids, bits)
+
 
 ENCODERS: dict[str, type[Encoder]] = {
     cls.kind: cls for cls in (OneHotLayer, BinaryLayer, AugmentedBinaryLayer)
@@ -433,7 +451,5 @@ ENCODERS: dict[str, type[Encoder]] = {
 
 
 def contributions_matrix(encoder: Encoder) -> np.ndarray:
-    """Stack effective_contribution(c) for c = 1..N into an (N, K) matrix."""
-    return np.stack(
-        [encoder.effective_contribution(c) for c in range(1, encoder.n_categories + 1)]
-    )
+    """The (N, K) matrix whose row c-1 is effective_contribution(c), bit for bit."""
+    return encoder.all_contributions()

@@ -1,14 +1,24 @@
 """Equivalence harness tests: twins, lockstep drift, probes, replay."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import augbin.harness
+import augbin.layers
 from augbin import (
     Activation,
     InvalidArgumentError,
+    Network,
     NetworkConfig,
+    OneHotLayer,
+    ProbeResult,
     SgdConfig,
     SplitMix64,
+    TwinPair,
     VerifyConfig,
     bit_overlap,
     brute_force_check,
@@ -26,6 +36,38 @@ from augbin import (
     twin_forward_max_diff,
 )
 from augbin.layers import AugmentedBinaryLayer
+
+
+def loop_twin_forward_max_diff(pair, probes):
+    """Reference oracle for ``twin_forward_max_diff``: one ``predict`` per probe."""
+    worst = 0.0
+    for category, numerics in probes:
+        out_a = pair.augmented.predict(category, numerics)
+        out_o = pair.onehot.predict(category, numerics)
+        worst = max(worst, float(np.max(np.abs(out_a - out_o))))
+    return worst
+
+
+def loop_isolation_errors(probe):
+    """Reference oracle for ``isolation_errors``: one category at a time."""
+    off = 0.0
+    for c in range(1, probe.deltas.shape[0] + 1):
+        if c != probe.category:
+            off = max(off, float(np.max(np.abs(probe.deltas[c - 1]))))
+    on = float(np.max(np.abs(probe.deltas[probe.category - 1] + probe.encoder_delta)))
+    return off, on
+
+
+def loop_interference_errors(probe, width):
+    """Reference oracle for ``interference_errors``: one ``bit_overlap`` per category."""
+    worst = 0.0
+    largest_predicted = 0.0
+    for c in range(1, probe.deltas.shape[0] + 1):
+        predicted = -probe.encoder_delta * bit_overlap(c, probe.category, width)
+        worst = max(worst, float(np.max(np.abs(probe.deltas[c - 1] - predicted))))
+        if c != probe.category:
+            largest_predicted = max(largest_predicted, float(np.max(np.abs(predicted))))
+    return worst, largest_predicted
 
 
 def _aug_net(seed=0, n_categories=9, k=4, n_numeric=2, hidden=(1,)):
@@ -184,6 +226,116 @@ def test_probe_on_binary_matches_overlap_prediction():
     assert witnessed > 1e-12  # categories 1 and 2 both share a bit with 3
 
 
+@given(
+    n_categories=st.sampled_from([1, 2, 3] + [2**n + d for n in range(2, 8) for d in (-1, 0)]),
+    k=st.integers(1, 10),
+    n_numeric=st.integers(0, 3),
+    hidden=st.sampled_from([(1,), (3, 2)]),
+    steps=st.integers(0, 5),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_array_checks_match_loop_oracles_exactly(n_categories, k, n_numeric, hidden, steps, seed):
+    nets = {
+        kind: build_network(
+            NetworkConfig(
+                encoder_kind=kind, n_categories=n_categories, n_numeric=n_numeric, k=k,
+                hidden=hidden, seed=seed,
+            )
+        )
+        for kind in ("augmented", "binary")
+    }
+    probes = probe_inputs(seed + 1, n_categories, n_numeric, 20)
+    stream = synthetic_stream(seed + 2, n_categories, n_numeric, hidden[-1], steps + 1)
+    for category, numerics, target in stream[:steps]:
+        nets["augmented"].sgd_step(category, numerics, target, 0.3)
+    pair = build_onehot_twin(nets["augmented"])
+    assert twin_forward_max_diff(pair, probes) == loop_twin_forward_max_diff(pair, probes)
+    category, numerics, target = stream[-1]
+    for net in nets.values():
+        probe = isolation_probe(net, category, numerics, target, 0.3)
+        assert isolation_errors(probe) == loop_isolation_errors(probe)
+        width = net.encoder.width
+        assert interference_errors(probe, width) == loop_interference_errors(probe, width)
+
+
+def _nan_probe():
+    deltas = np.zeros((5, 2))
+    deltas[3, 1] = np.nan  # category 4 moved by NaN
+    return ProbeResult(category=2, deltas=deltas, encoder_delta=np.zeros(2))
+
+
+def test_isolation_errors_propagate_nan():
+    off, on = isolation_errors(_nan_probe())
+    assert math.isnan(off)
+    assert not off <= 1e-12
+    assert on == 0.0
+
+
+def test_interference_errors_propagate_nan():
+    worst, _ = interference_errors(_nan_probe(), 3)
+    assert math.isnan(worst)
+    assert not worst <= 1e-12
+
+
+def test_twin_forward_max_diff_propagates_nan():
+    class NanOutputs:
+        def predict_batch(self, categories, numerics):
+            return np.full((len(categories), 1), np.nan)
+
+    pair = TwinPair(augmented=_aug_net(), onehot=NanOutputs())
+    diff = twin_forward_max_diff(pair, probe_inputs(1, 9, 2, 3))
+    assert math.isnan(diff)
+    assert not diff <= 1e-12
+
+
+_SMALL_VERIFY = VerifyConfig(seed=0, steps=10, isolation_probes=5, forward_probes=10)
+
+
+def test_nan_contribution_change_fails_isolation_and_control_suites(monkeypatch):
+    real_probe = augbin.harness.isolation_probe
+
+    def nan_probe(net, category, *args):
+        probe = real_probe(net, category, *args)
+        probe.deltas[category % net.encoder.n_categories] = np.nan  # another category
+        return probe
+
+    monkeypatch.setattr(augbin.harness, "isolation_probe", nan_probe)
+    outcome = run_verification(_SMALL_VERIFY)
+    assert not outcome.suites["isolation"].passed
+    assert not outcome.suites["negative_control"].passed
+    assert outcome.suites["twin_forward_agreement"].passed
+
+
+def test_nan_twin_output_fails_twin_suite(monkeypatch):
+    real_predict_batch = Network.predict_batch
+
+    def nan_predict_batch(self, categories, numerics):
+        out = real_predict_batch(self, categories, numerics)
+        if isinstance(self.encoder, OneHotLayer):
+            out[-1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(Network, "predict_batch", nan_predict_batch)
+    outcome = run_verification(_SMALL_VERIFY)
+    assert not outcome.suites["twin_forward_agreement"].passed
+    assert math.isnan(outcome.suites["twin_forward_agreement"].max_err)
+
+
+def test_harness_looks_up_contributions_matrix_by_module_name(monkeypatch):
+    # The benchmark tracer patches this name in both modules; a call that
+    # bypassed the module global would go untraced.
+    assert "contributions_matrix" in vars(augbin.layers)
+    assert "contributions_matrix" in vars(augbin.harness)
+    calls = []
+    real = augbin.harness.contributions_matrix
+    monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e: calls.append(e) or real(e))
+    net = _aug_net()
+    build_onehot_twin(net)
+    isolation_probe(net, 2, np.zeros(2), np.zeros(1), 0.1)
+    assert len(calls) == 3
+
+
 def test_disjoint_category_updates_commute():
     d1 = np.array([0.11, -0.07, 0.05, 0.02])
     d2 = np.array([-0.03, 0.09, -0.01, 0.04])
@@ -280,6 +432,11 @@ def test_run_verification_default_suites_pass():
     assert len(outcome.divergence) == 40
     assert outcome.counters.encoding_param_updates > 0
     assert all(outcome.verdicts().values())
+
+
+def test_run_verification_passes_at_4096_categories():
+    outcome = run_verification(VerifyConfig(n_categories=4096))  # width 13
+    assert outcome.verdicts() == dict.fromkeys(outcome.suites, True)
 
 
 def test_run_verification_fault_caught_by_isolation_suite():

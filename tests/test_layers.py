@@ -9,16 +9,24 @@ from augbin import (
     AugmentedBinaryLayer,
     BinaryLayer,
     InvalidArgumentError,
+    NetworkConfig,
+    NumericError,
     OneHotLayer,
     OpCounters,
     RangeError,
     SplitMix64,
     bit_width,
+    build_network,
     contributions_matrix,
     encode,
     expected_counts,
 )
 from augbin.layers import ENCODERS
+
+
+def scalar_contributions_matrix(encoder):
+    """Reference oracle for ``contributions_matrix``: one ``effective_contribution`` per category."""
+    return np.stack([encoder.effective_contribution(c) for c in range(1, encoder.n_categories + 1)])
 
 
 def _one_hot_fixture():
@@ -272,6 +280,52 @@ def test_contributions_matrix_stacks_all_categories():
     matrix = contributions_matrix(layer)
     assert matrix.shape == (3, 2)
     assert np.array_equal(matrix, layer.cat_weights)
+    matrix[0, 0] += 1.0
+    assert layer.cat_weights[0, 0] == 1.0  # a copy, not a view
+
+
+@given(
+    kind=st.sampled_from(tuple(ENCODERS)),
+    # N in {1, 2, 3} and 2**n - 1, 2**n up to 1024: widths of 8 and more are
+    # where a pairwise np.sum over the bits would change the order.
+    n_categories=st.sampled_from([1, 2, 3] + [2**n + d for n in range(2, 11) for d in (-1, 0)]),
+    k=st.integers(1, 10),
+    n_numeric=st.integers(0, 2),
+    steps=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_contributions_matrix_matches_scalar_oracle_bit_for_bit(kind, n_categories, k, n_numeric, steps, seed):
+    net = build_network(
+        NetworkConfig(encoder_kind=kind, n_categories=n_categories, n_numeric=n_numeric, k=k, seed=seed)
+    )
+    stream = SplitMix64(seed + 1)
+    for check in range(3):
+        expected = scalar_contributions_matrix(net.encoder)
+        matrix = contributions_matrix(net.encoder)
+        assert matrix.shape == expected.shape == (n_categories, k)
+        assert matrix.tobytes() == expected.tobytes()
+        for _ in range(steps):
+            category = stream.next_below(n_categories) + 1
+            numerics = stream.symmetric_array((n_numeric,), 2.0)
+            target = stream.symmetric_array((k,), 3.0)
+            try:
+                net.sgd_step(category, numerics, target, 0.5)
+            except NumericError:  # diverged; the matrices above were still compared
+                return
+
+
+@pytest.mark.parametrize("kind", ["binary", "augmented"])
+def test_contributions_matrix_keeps_an_infinite_bit_row_to_its_categories(kind):
+    layer = ENCODERS[kind].fresh(11, 0, 3, SplitMix64(4))
+    if kind == "augmented":
+        layer.apply_update(5, (), np.array([0.1, -0.2, 0.3]))
+    layer.bit_weights[3] = np.inf  # bit 4: only categories 8..11 use it
+    matrix = contributions_matrix(layer)
+    assert matrix.tobytes() == scalar_contributions_matrix(layer).tobytes()
+    assert np.all(np.isfinite(matrix[:7]))  # never 0 * inf = NaN
+    assert np.all(matrix[7:] == np.inf)
 
 
 def test_positions_follow_encoding():

@@ -13,6 +13,7 @@ from augbin import (
     validate_report,
     write_report,
 )
+from augbin.report import REPORT_SCHEMA, REPORT_SCHEMA_STRICT
 
 
 def _sample():
@@ -76,6 +77,36 @@ def test_wrong_types_rejected():
     report["schema_version"] = "999"
     with pytest.raises(jsonschema.ValidationError):
         validate_report(report)
+
+
+@pytest.mark.parametrize("schema", [REPORT_SCHEMA_STRICT, REPORT_SCHEMA])
+def test_report_schemas_are_valid_against_their_metaschema(schema):
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("extra", 1),
+        ("losses", ["fast"]),
+        ("verdicts", {"isolation": "yes"}),
+        ("schema_version", "999"),
+        ("seeds", {"network": 1.5}),
+        ("counters", None),
+    ],
+)
+@pytest.mark.parametrize("strict", [True, False])
+def test_validate_report_raises_the_error_jsonschema_validate_picks(field, value, strict):
+    report = _sample()
+    report[field] = value
+    del report["timings"]  # a second fault, so the choice between errors matters
+    schema = REPORT_SCHEMA_STRICT if strict else REPORT_SCHEMA
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(instance=report, schema=schema)
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        validate_report(report, strict=strict)
+    assert str(raised.value) == str(expected.value)
+    assert list(raised.value.absolute_path) == list(expected.value.absolute_path)
 
 
 def test_render_is_canonical_under_key_order():
