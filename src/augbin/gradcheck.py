@@ -112,26 +112,27 @@ def check_gradients(
     """Compare analytic against central-difference gradients entry by entry.
 
     An entry passes when |analytic - numeric| <= abs_tol + rel_tol * scale
-    with scale = max(|analytic|, |numeric|).
+    with scale = max(|analytic|, |numeric|); a NaN on either side fails, and
+    makes ``max_abs_diff`` NaN.  ``worst_param`` is the first parameter that
+    holds the largest difference ("" when every difference is zero).
     """
     analytic = analytic_gradients(network, category, numerics, target)
     numeric = numeric_gradients(network, category, numerics, target, step)
     passed = True
-    worst_diff = 0.0
-    worst_param = ""
     entries = 0
+    names, worst = [], []
     for name in analytic:
         a = analytic[name].ravel()
         n = numeric[name].ravel()
-        for idx in range(a.size):
-            entries += 1
-            diff = abs(a[idx] - n[idx])
-            scale = max(abs(a[idx]), abs(n[idx]))
-            if diff > abs_tol + rel_tol * scale:
-                passed = False
-            if diff > worst_diff:
-                worst_diff = diff
-                worst_param = name
+        diff = np.abs(a - n)
+        scale = np.maximum(np.abs(a), np.abs(n))
+        passed = passed and bool(np.all(diff <= abs_tol + rel_tol * scale))
+        entries += a.size
+        names.append(name)
+        worst.append(np.max(diff, initial=0.0))
+    index = int(np.argmax(worst))  # the first maximum, or the first NaN
+    worst_diff = float(worst[index])
+    worst_param = names[index] if worst_diff != 0.0 else ""
     return GradCheckResult(passed, entries, worst_diff, worst_param)
 
 

@@ -296,19 +296,22 @@ def brute_force_check(
             expected += catmem_replay[c - 1]
             for i in positions[c]:
                 expected -= bitmem_replay[:, i - 1]
-            actual = encoder.effective_contribution(c)
-            for neuron in range(k):
-                err = abs(float(actual[neuron] - expected[neuron]))
-                max_err = max(max_err, err)
-                if err > tolerance:
-                    return ReplayReport(False, steps, max_err, (step, c, neuron))
-        matrix_err = max(
-            float(np.max(np.abs(encoder.bit_weights - bits_replay))),
-            float(np.max(np.abs(encoder.cat_memory - catmem_replay))),
-            float(np.max(np.abs(encoder.bit_memory - bitmem_replay))),
+            errs = np.abs(encoder.effective_contribution(c) - expected)
+            failing = np.flatnonzero(~(errs <= tolerance))  # a NaN error fails
+            if failing.size:
+                neuron = int(failing[0])
+                max_err = _worst([max_err, *errs[: neuron + 1]])
+                return ReplayReport(False, steps, max_err, (step, c, neuron))
+            max_err = _worst([max_err, *errs])
+        matrix_err = _worst(
+            [
+                _worst(np.abs(encoder.bit_weights - bits_replay)),
+                _worst(np.abs(encoder.cat_memory - catmem_replay)),
+                _worst(np.abs(encoder.bit_memory - bitmem_replay)),
+            ]
         )
-        max_err = max(max_err, matrix_err)
-        if matrix_err > tolerance:
+        max_err = _worst([max_err, matrix_err])
+        if not matrix_err <= tolerance:
             return ReplayReport(False, steps, max_err, (step, 0, 0))
     return ReplayReport(True, steps, max_err, None)
 
@@ -483,7 +486,7 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
     for index in range(cfg.gradcheck_configs):
         result = run_gradcheck_config(cfg.seed + 6, index)
         grad_ok = grad_ok and result.passed
-        worst_grad = max(worst_grad, result.max_abs_diff)
+        worst_grad = _worst([worst_grad, result.max_abs_diff])
     suites["gradient_check"] = SuiteOutcome(
         grad_ok,
         worst_grad,

@@ -16,10 +16,10 @@ the one list of encoder kinds.
 
 The base owns what the three share: input validation, ``k``,
 ``n_numeric``, the named parameter arrays (``params``) and their count,
-and the numeric-then-bias tail of the forward pass and of the update.
+the numeric terms of the forward pass, and the numeric-then-bias update.
 ``_BitEncoder`` adds what binary and augmented share: the bit width, the
-one-bit positions of a category, the bit-row sum, and the seeded draws of a
-fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
+one-bit positions of a category, the batched bit-row sum, and the seeded
+draws of a fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
 of its own categorical arrays, and defines ``forward``, ``apply_update``,
 ``effective_contribution`` and ``all_contributions`` itself, so that each
@@ -43,6 +43,17 @@ bit/row order, then numeric terms in ascending feature order, then bias,
 then the memory corrections.  Every accumulation below runs in ascending
 index order with one accumulator per output neuron.
 
+The per-example methods, which are the training step, are array-form: each
+stacks its terms in that order (gathered bit rows, numeric terms, bias,
+category memory, negated bit-memory columns) and adds them with one
+:func:`ordered_sum`, a sequential ``np.add.accumulate`` that starts from
++0.0 where the ascending loop starts from zeros.  So each equals the loop of
+one ``+=`` per term bit for bit (``a - b`` is ``a + (-b)`` exactly in IEEE
+arithmetic); no pairwise reduction (``np.sum``) or BLAS product regroups
+the terms.  Updates subtract ``delta`` from the gathered rows and columns
+by fancy indexing; the one-bit rows are distinct, so each entry still gets
+one subtraction.
+
 ``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
 evaluates B rows at once for loss evaluation, and ``all_contributions``
 evaluates every category's contribution at once for the harness.  Both keep
@@ -58,7 +69,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bitcode import bit_matrix, bit_width, encode
+# encode is no longer called here; it stays bound because perfbench/spans.py traces layers.encode.
+from .bitcode import bit_matrix, bit_width, encode  # noqa: F401
 from .counters import OpCounters
 from .errors import InvalidArgumentError, RangeError
 from .rng import SplitMix64
@@ -79,6 +91,20 @@ def _as_vector(value, length, name) -> np.ndarray:
     if arr.shape != (length,):
         raise InvalidArgumentError(f"{name} must have shape {(length,)}, got {arr.shape}")
     return arr
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (m, K) array, bit for bit ``z = zeros(K); for t in terms: z += t``.
+
+    ``np.add.accumulate`` adds strictly one row after another.  Adding +0.0
+    to the first row is the loop's first step: without it a -0.0 first term
+    would leave a -0.0 sum where the loop gives +0.0.  ``terms`` is scratch;
+    its first row is overwritten.
+    """
+    if not terms.shape[0]:
+        return np.zeros(terms.shape[1:])
+    terms[0] += 0.0
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 class Encoder:
@@ -136,12 +162,9 @@ class Encoder:
             )
         return ids, x
 
-    def _add_numerics_and_bias(self, z: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Forward tail: numeric terms in ascending feature order, then ``bias``."""
-        for j in range(self.n_numeric):
-            z += self.num_weights[j] * x[j]
-        z += bias
-        return z
+    def _numeric_terms(self, x: np.ndarray) -> np.ndarray:
+        """(d, K) numeric terms, row j = ``num_weights[j] * x[j]``."""
+        return self.num_weights * x[:, None]
 
     def _add_numerics_and_bias_batch(self, z: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """Batched forward tail, in the same order for every row."""
@@ -184,7 +207,8 @@ class OneHotLayer(Encoder):
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         x = self._check_example(category, numerics)
-        z = self._add_numerics_and_bias(self.cat_weights[category - 1].copy(), x, self.bias)
+        terms = np.concatenate((self.cat_weights[category - 1 : category], self._numeric_terms(x), self.bias[None]))
+        z = np.add.accumulate(terms, axis=0)[-1]  # starts from the row itself, not from +0.0
         if counters is not None:
             counters.encoding_madds_dense += self.n_categories * self.k
             counters.encoding_madds_sparse += self.k
@@ -241,22 +265,20 @@ class _BitEncoder(Encoder):
         return self.bit_weights.shape[0]
 
     def _positions(self, category: int) -> tuple[int, ...]:
-        return encode(category, self.width).positions
+        """``encode(category, width).positions``, read off the integer; callers range-check first."""
+        return tuple(i + 1 for i in range(self.width) if category >> i & 1)
+
+    def _rows(self, category: int) -> np.ndarray:
+        """0-based rows of the category's one-bits, ascending, for fancy indexing."""
+        return np.array([i - 1 for i in self._positions(category)])
 
     def _all_ids_and_bits(self) -> tuple[np.ndarray, np.ndarray]:
         """Categories 1..N as an (N,) array and their (N, width) bit matrix."""
         ids = np.arange(1, self.n_categories + 1)
         return ids, bit_matrix(ids, self.width)
 
-    def _bit_sum(self, positions) -> np.ndarray:
-        """Categorical term: the weight rows of the one-bits, in ascending bit order."""
-        z = np.zeros(self.k)
-        for i in positions:
-            z += self.bit_weights[i - 1]
-        return z
-
     def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_bit_sum`: each row adds the weight rows of its one-bits, ascending.
+        """Categorical term of B rows: each adds the weight rows of its one-bits, ascending.
 
         A masked add skips the zero bits, as the scalar loop does; multiplying
         by the 0/1 bit would turn an infinite weight into NaN.
@@ -288,11 +310,11 @@ class BinaryLayer(_BitEncoder):
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         x = self._check_example(category, numerics)
-        positions = self._positions(category)
-        z = self._add_numerics_and_bias(self._bit_sum(positions), x, self.bias)
+        rows = self._rows(category)
+        z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), self.bias[None])))
         if counters is not None:
             counters.encoding_madds_dense += self.width * self.k
-            counters.encoding_madds_sparse += len(positions) * self.k
+            counters.encoding_madds_sparse += len(rows) * self.k
         return z
 
     def forward_batch(self, categories, numerics) -> np.ndarray:
@@ -304,16 +326,16 @@ class BinaryLayer(_BitEncoder):
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         x = self._check_example(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
-        positions = self._positions(category)
-        for i in positions:
-            self.bit_weights[i - 1] -= delta
+        rows = self._rows(category)
+        self.bit_weights[rows] -= delta
         self._update_numerics_and_bias(x, delta)
         if counters is not None:
-            counters.encoding_param_updates += len(positions) * self.k
+            counters.encoding_param_updates += len(rows) * self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
         self._check_category(category)
-        return self._bit_sum(self._positions(category))
+        rows = self._rows(category)
+        return ordered_sum(self.bit_weights[rows])
 
     def all_contributions(self) -> np.ndarray:
         _, bits = self._all_ids_and_bits()
@@ -360,15 +382,12 @@ class AugmentedBinaryLayer(_BitEncoder):
     def n_categories(self) -> int:
         return self.cat_memory.shape[0]
 
-    def _add_memories(self, z: np.ndarray, category: int, positions) -> np.ndarray:
-        """Add the category's memory row, then subtract the memory of each one-bit."""
-        z += self.cat_memory[category - 1]
-        for i in positions:
-            z -= self.bit_memory[:, i - 1]
-        return z
+    def _memory_terms(self, category: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The category's memory row (1, K), then the negated memory of each one-bit (ones, K)."""
+        return self.cat_memory[category - 1 : category], -self.bit_memory[:, rows].T
 
     def _add_memories_batch(self, z: np.ndarray, ids: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_add_memories`, bit memories in ascending bit order."""
+        """Add each row's category memory, then subtract its one-bits' memories, ascending."""
         z += self.cat_memory[ids - 1]
         for i in range(self.width):
             np.subtract(z, self.bit_memory[:, i], out=z, where=bits[:, i, None])
@@ -382,10 +401,10 @@ class AugmentedBinaryLayer(_BitEncoder):
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         """Bit rows + numeric terms + bias + category memory - bit memories."""
         x = self._check_example(category, numerics)
-        positions = self._positions(category)
-        z = self._add_numerics_and_bias(self._bit_sum(positions), x, self.bias)
-        z = self._add_memories(z, category, positions)
-        self._count_forward(counters, len(positions))
+        rows = self._rows(category)
+        memories = self._memory_terms(category, rows)
+        z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), self.bias[None], *memories)))
+        self._count_forward(counters, len(rows))
         return z
 
     def forward_folded(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
@@ -395,10 +414,11 @@ class AugmentedBinaryLayer(_BitEncoder):
         (budgeted at 1e-12 absolute per component).
         """
         x = self._check_example(category, numerics)
-        positions = self._positions(category)
-        adjusted = self._add_memories(self.bias.copy(), category, positions)
-        z = self._add_numerics_and_bias(self._bit_sum(positions), x, adjusted)
-        self._count_forward(counters, len(positions))
+        rows = self._rows(category)
+        # The adjusted bias starts from the bias itself, not from +0.0.
+        adjusted = np.add.accumulate(np.concatenate((self.bias[None], *self._memory_terms(category, rows))), axis=0)
+        z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), adjusted[-1:])))
+        self._count_forward(counters, len(rows))
         return z
 
     def forward_batch(self, categories, numerics) -> np.ndarray:
@@ -423,22 +443,20 @@ class AugmentedBinaryLayer(_BitEncoder):
         """
         x = self._check_example(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
-        positions = self._positions(category)
-        for i in positions:
-            self.bit_weights[i - 1] -= delta
+        rows = self._rows(category)
+        self.bit_weights[rows] -= delta
         if not self.skip_category_memory_update:
             self.cat_memory[category - 1] -= delta
-        for i in positions:
-            self.bit_memory[:, i - 1] -= delta
+        self.bit_memory[:, rows] -= delta[:, None]
         self._update_numerics_and_bias(x, delta)
         if counters is not None:
-            counters.encoding_param_updates += (2 * len(positions) + 1) * self.k
+            counters.encoding_param_updates += (2 * len(rows) + 1) * self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
         """Category-dependent part of the pre-activation."""
         self._check_category(category)
-        positions = self._positions(category)
-        return self._add_memories(self._bit_sum(positions), category, positions)
+        rows = self._rows(category)
+        return ordered_sum(np.concatenate((self.bit_weights[rows], *self._memory_terms(category, rows))))
 
     def all_contributions(self) -> np.ndarray:
         ids, bits = self._all_ids_and_bits()

@@ -10,6 +10,13 @@ encoder delta ``lr * dLoss/dz_k`` is computed once and handed to the encoder
 verbatim.  Two networks built from the same seed and fed the same examples
 produce bit-identical parameter trajectories.
 
+The training step (:meth:`Network.sgd_step`) is array-form: the dense
+fan-in sum and the backprop sum over output columns each stack their terms
+and add them with one :func:`~augbin.layers.ordered_sum`, a sequential
+``np.add.accumulate`` from +0.0, never a pairwise reduction or a BLAS
+product, so each equals its ascending ``+=`` loop bit for bit.  The tests
+keep those loops as oracles.
+
 Evaluation (:func:`mean_loss`, :meth:`Network.predict_batch`) is batched over
 rows: each layer runs once on a (B, width) array instead of once per row.
 The batch axis is the only new axis; every element is still accumulated in
@@ -29,7 +36,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import ENCODERS, AugmentedBinaryLayer, Encoder
+from .layers import ENCODERS, AugmentedBinaryLayer, Encoder, ordered_sum
 from .rng import SplitMix64
 
 
@@ -89,10 +96,8 @@ class DenseLayer:
         return self.weights.size + self.bias.size
 
     def forward(self, x: np.ndarray, counters: OpCounters | None = None) -> np.ndarray:
-        z = np.zeros(self.fan_out)
-        for i in range(self.fan_in):
-            z += self.weights[i] * x[i]
-        z += self.bias
+        """Fan-in terms ``weights[i] * x[i]`` in ascending i from +0.0, then the bias."""
+        z = ordered_sum(self.weights * x[:, None]) + self.bias
         if counters is not None:
             counters.downstream_madds += self.fan_in * self.fan_out
         return z
@@ -184,9 +189,8 @@ class Network:
             deltas.append(dz)
             if idx > 0:
                 layer = stages[idx][1]
-                grad = np.zeros(layer.fan_in)
-                for k in range(layer.fan_out):
-                    grad += layer.weights[:, k] * dz[k]
+                # Terms weights[:, k] * dz[k], added in ascending output column k.
+                grad = ordered_sum((layer.weights * dz).T)
         deltas.reverse()
         return deltas
 

@@ -1,8 +1,11 @@
 """Gradient checks: analytic backward pass against central differences."""
 
+import math
+
 import numpy as np
 import pytest
 
+import augbin.gradcheck
 from augbin import (
     Activation,
     NetworkConfig,
@@ -117,3 +120,19 @@ def test_result_string_mentions_worst_parameter():
     result = check_gradients(net, 1, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     assert "gradcheck ok" in str(result)
     assert result.entries_checked == sum(arr.size for _, arr in param_arrays(net))
+
+
+def test_check_gradients_fails_on_a_nan_gradient(monkeypatch):
+    real = augbin.gradcheck.numeric_gradients
+
+    def with_nan(*args, **kwargs):
+        grads = real(*args, **kwargs)
+        grads["encoder.bias"][1] = np.nan
+        return grads
+
+    monkeypatch.setattr(augbin.gradcheck, "numeric_gradients", with_nan)
+    net = _net("augmented", Activation.SIGMOID)
+    result = check_gradients(net, 5, np.array([0.4, -0.6]), np.array([0.3, -0.1]))
+    assert not result.passed
+    assert math.isnan(result.max_abs_diff)
+    assert result.worst_param == "encoder.bias"

@@ -388,6 +388,20 @@ def test_replay_detects_injected_corruption():
     assert (category, neuron) == (5, 2)
 
 
+def test_replay_fails_on_a_nan_contribution(monkeypatch):
+    real = AugmentedBinaryLayer.effective_contribution
+
+    def nan_for_category_3(self, category):
+        out = real(self, category)
+        return np.full_like(out, np.nan) if category == 3 else out
+
+    monkeypatch.setattr(AugmentedBinaryLayer, "effective_contribution", nan_for_category_3)
+    report = brute_force_check(8, 4, 50, 0)
+    assert not report.passed
+    assert report.first_failure == (0, 3, 0)
+    assert math.isnan(report.max_abs_err)
+
+
 def test_replay_enforces_bounds():
     with pytest.raises(InvalidArgumentError):
         brute_force_check(9, 4, 50, 0)

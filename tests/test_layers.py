@@ -328,9 +328,20 @@ def test_contributions_matrix_keeps_an_infinite_bit_row_to_its_categories(kind):
     assert np.all(matrix[7:] == np.inf)
 
 
+def _binary_of_width(width):
+    return BinaryLayer(
+        n_categories=2**width - 1, bit_weights=np.zeros((width, 1)), num_weights=np.zeros((0, 1)), bias=np.zeros(1)
+    )
+
+
 def test_positions_follow_encoding():
-    layer = _binary_fixture()
-    assert layer._positions(3) == encode(3, 2).positions
+    for width in range(1, 9):
+        layer = _binary_of_width(width)
+        for category in range(1, 2**width):
+            assert layer._positions(category) == encode(category, width).positions
+    layer = _binary_of_width(17)
+    for category in (1, 2, 2**16 - 1, 2**16, 2**17 - 1):
+        assert layer._positions(category) == encode(category, 17).positions
 
 
 @pytest.mark.parametrize("cls", list(ENCODERS.values()), ids=list(ENCODERS))
