@@ -40,7 +40,6 @@ from .harness import (
     TwinPair,
     VerificationOutcome,
     VerifyConfig,
-    bit_overlap,
     brute_force_check,
     build_onehot_twin,
     divergence_budget,
@@ -116,7 +115,6 @@ __all__ = [
     "VocabMissError",
     "analytic_gradients",
     "bit_matrix",
-    "bit_overlap",
     "bit_width",
     "brute_force_check",
     "build_network",

@@ -45,7 +45,7 @@ from .network import (
     run_sgd,
 )
 from .report import make_report, render_report, write_report
-from .rng import SplitMix64
+from .rng import SplitMix64, below_draws
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -374,8 +374,7 @@ def _cmd_verify(options: dict) -> int:
 
 def _bench_schedule(n_categories: int, seed: int) -> list[int]:
     """BENCH_STEPS categories drawn uniformly from 1..N, so large tables are exercised."""
-    stream = SplitMix64(seed)
-    return [stream.next_below(n_categories) + 1 for _ in range(BENCH_STEPS)]
+    return (below_draws(SplitMix64(seed).next_u64_block(BENCH_STEPS), n_categories) + 1).tolist()
 
 
 def _bench_cell(kind: str, n_categories: int, k: int, reps: int, seed: int):

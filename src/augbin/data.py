@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitcode import CategoryVocab, build_vocab
 from .errors import InvalidArgumentError, ParseError
-from .rng import SplitMix64
+from .rng import SplitMix64, below_draws, symmetric_draws
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,8 @@ def synth_gen(seed: int, n_categories: int, n_numeric: int, rows: int, noise: fl
     if noise < 0:
         raise InvalidArgumentError("noise must be >= 0")
     stream = SplitMix64(seed)
-    levels = [stream.next_symmetric(1.0) for _ in range(n_categories)]
-    coefficients = [stream.next_symmetric(1.0) for _ in range(n_numeric)]
+    levels = symmetric_draws(stream.next_u64_block(n_categories), 1.0).tolist()
+    coefficients = symmetric_draws(stream.next_u64_block(n_numeric), 1.0).tolist()
     categories = []
     numerics = np.zeros((rows, n_numeric))
     targets = np.zeros((rows, 1))
@@ -241,9 +241,9 @@ def split_rows(n_rows: int, eval_fraction: float, seed: int) -> tuple[list[int],
     if not 0.0 <= eval_fraction < 1.0:
         raise InvalidArgumentError("eval fraction must be in [0, 1)")
     order = list(range(n_rows))
-    stream = SplitMix64(seed)
-    for i in range(n_rows - 1, 0, -1):  # Fisher-Yates with seeded draws
-        j = stream.next_below(i + 1)
+    moduli = np.arange(n_rows, 1, -1)  # Fisher-Yates with seeded draws: i + 1 for i = n-1..1
+    swaps = below_draws(SplitMix64(seed).next_u64_block(moduli.size), moduli)
+    for i, j in zip(range(n_rows - 1, 0, -1), swaps.tolist()):
         order[i], order[j] = order[j], order[i]
     n_eval = int(n_rows * eval_fraction)
     n_train = n_rows - n_eval

@@ -41,14 +41,7 @@ from .network import (
     build_network,
     mse_loss,
 )
-from .rng import SplitMix64
-
-
-def bit_overlap(a: int, b: int, width: int) -> int:
-    """Number of one-bit positions two category codes share."""
-    pa = set(encode(a, width).positions)
-    pb = set(encode(b, width).positions)
-    return len(pa & pb)
+from .rng import SplitMix64, below_draws, symmetric_draws
 
 
 @dataclass
@@ -84,6 +77,20 @@ def build_onehot_twin(net: Network) -> TwinPair:
     return TwinPair(augmented=net, onehot=twin)
 
 
+def _draw_examples(seed: int, n_categories: int, count: int, *widths: int) -> list:
+    """``count`` rows of draws from one stream seeded with ``seed``, in row order.
+
+    Each row is one category draw from 1..N, then one uniform(-1, 1) draw per
+    entry of each width.  Returns the Python ``int`` categories, then one
+    list of (width,) float64 arrays per width.
+    """
+    u = SplitMix64(seed).next_u64_block(count * (1 + sum(widths))).reshape(count, 1 + sum(widths))
+    categories = (below_draws(u[:, 0], n_categories) + 1).tolist()
+    values = symmetric_draws(u[:, 1:], 1.0)
+    bounds = np.cumsum((0, *widths))
+    return [categories, *(list(values[:, start:stop]) for start, stop in zip(bounds, bounds[1:]))]
+
+
 def synthetic_stream(
     seed: int, n_categories: int, n_numeric: int, target_width: int, count: int
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -93,25 +100,15 @@ def synthetic_stream(
     n_numeric uniform(-1, 1) feature draws, then target_width uniform(-1, 1)
     target draws, all from one stream seeded with ``seed``.
     """
-    stream = SplitMix64(seed)
-    examples = []
-    for _ in range(count):
-        category = stream.next_below(n_categories) + 1
-        numerics = np.array([stream.next_symmetric(1.0) for _ in range(n_numeric)])
-        target = np.array([stream.next_symmetric(1.0) for _ in range(target_width)])
-        examples.append((category, numerics, target))
-    return examples
+    return list(zip(*_draw_examples(seed, n_categories, count, n_numeric, target_width)))
 
 
 def probe_inputs(seed: int, n_categories: int, n_numeric: int, count: int):
-    """Deterministic (category, numerics) pairs for forward-agreement probes."""
-    stream = SplitMix64(seed)
-    probes = []
-    for _ in range(count):
-        category = stream.next_below(n_categories) + 1
-        numerics = np.array([stream.next_symmetric(1.0) for _ in range(n_numeric)])
-        probes.append((category, numerics))
-    return probes
+    """Deterministic (category, numerics) pairs for forward-agreement probes.
+
+    The recipe is :func:`synthetic_stream`'s without the targets.
+    """
+    return list(zip(*_draw_examples(seed, n_categories, count, n_numeric)))
 
 
 def _worst(values) -> float:
@@ -191,14 +188,23 @@ class ProbeResult:
     category: int
     deltas: np.ndarray  # (N, K): contribution after minus before
     encoder_delta: np.ndarray  # (K,): the step vector handed to the encoder
+    after: np.ndarray  # (N, K): every contribution after the step
 
 
-def isolation_probe(net: Network, category: int, numerics, target, learning_rate: float) -> ProbeResult:
-    """One training step on ``category``; measure all contribution changes."""
-    before = contributions_matrix(net.encoder)
+def isolation_probe(
+    net: Network, category: int, numerics, target, learning_rate: float, before: np.ndarray | None = None
+) -> ProbeResult:
+    """One training step on ``category``; measure all contribution changes.
+
+    ``before``, when given, must equal ``contributions_matrix(net.encoder)``:
+    a loop of probes passes the previous probe's ``after``, since nothing
+    changes the network in between.
+    """
+    if before is None:
+        before = contributions_matrix(net.encoder)
     encoder_delta = net.sgd_step(category, numerics, target, learning_rate)
     after = contributions_matrix(net.encoder)
-    return ProbeResult(int(category), after - before, encoder_delta)
+    return ProbeResult(int(category), after - before, encoder_delta, after)
 
 
 def isolation_errors(probe: ProbeResult) -> tuple[float, float]:
@@ -268,12 +274,10 @@ def brute_force_check(
     bitmem0 = encoder.bit_memory.copy()
     positions = {c: encode(c, width).positions for c in range(1, n_categories + 1)}
 
-    stream = SplitMix64(seed + 1)
+    categories, targets = _draw_examples(seed + 1, n_categories, steps, k)
     history: list[tuple[int, np.ndarray]] = []
     max_err = 0.0
-    for step in range(steps):
-        category = stream.next_below(n_categories) + 1
-        target = np.array([stream.next_symmetric(1.0) for _ in range(k)])
+    for step, (category, target) in enumerate(zip(categories, targets)):
         delta = net.sgd_step(category, (), target, learning_rate)
         history.append((category, delta.copy()))
         if corrupt_at is not None and corrupt_at[0] == step:
@@ -422,8 +426,10 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
         iso_net.encoder.skip_category_memory_update = True
     iso_stream = synthetic_stream(cfg.seed + 3, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes)
     iso_errors = []
+    before = None  # each probe's after matrix is the next probe's before
     for category, numerics, target in iso_stream:
-        probe = isolation_probe(iso_net, category, numerics, target, cfg.learning_rate)
+        probe = isolation_probe(iso_net, category, numerics, target, cfg.learning_rate, before)
+        before = probe.after
         iso_errors.append(isolation_errors(probe))
     offs, ons = np.reshape(iso_errors, (-1, 2)).T
     worst_off, worst_on = _worst(offs), _worst(ons)
@@ -440,8 +446,10 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
         cfg.seed + 4, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes
     )
     control_errors = []
+    before = None
     for category, numerics, target in control_stream:
-        probe = isolation_probe(control_net, category, numerics, target, cfg.learning_rate)
+        probe = isolation_probe(control_net, category, numerics, target, cfg.learning_rate, before)
+        before = probe.after
         control_errors.append(interference_errors(probe, control_net.encoder.width))
     errs, predicted = np.reshape(control_errors, (-1, 2)).T
     worst_control, witnessed = _worst(errs), _worst(predicted)
@@ -527,7 +535,7 @@ def run_gradcheck_config(base_seed: int, index: int):
         seed=stream.next_u64() % (2**32),
     )
     net = build_network(config)
-    category = stream.next_below(n_categories) + 1
-    numerics = np.array([stream.next_symmetric(1.0) for _ in range(n_numeric)])
-    target = np.array([stream.next_symmetric(1.0) for _ in range(net.output_width)])
-    return check_gradients(net, category, numerics, target)
+    u = stream.next_u64_block(1 + n_numeric + net.output_width)
+    category = int(below_draws(u[:1], n_categories)[0]) + 1
+    values = symmetric_draws(u[1:], 1.0)
+    return check_gradients(net, category, values[:n_numeric], values[n_numeric:])

@@ -18,8 +18,9 @@ The base owns what the three share: input validation, ``k``,
 ``n_numeric``, the named parameter arrays (``params``) and their count,
 the numeric terms of the forward pass, and the numeric-then-bias update.
 ``_BitEncoder`` adds what binary and augmented share: the bit width, the
-one-bit positions of a category, the batched bit-row sum, and the seeded
-draws of a fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
+one-bit positions of a category, the batched bit-row sum, the table of every
+category's bit-row sum, and the seeded draws of a fresh layer.  A concrete
+encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
 of its own categorical arrays, and defines ``forward``, ``apply_update``,
 ``effective_contribution`` and ``all_contributions`` itself, so that each
@@ -56,10 +57,11 @@ one subtraction.
 
 ``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
 evaluates B rows at once for loss evaluation, and ``all_contributions``
-evaluates every category's contribution at once for the harness.  Both keep
-that order for every row, adding a bit's row only where the bit is set, so
-each row equals the per-example method bit for bit.  They count no
-operations: the counters describe training steps.  The per-example methods
+evaluates every category's contribution at once for the harness, building
+the bit-row sums of categories 0..N by doubling.  Both keep that order for
+every row, adding a bit's row only where the bit is set, so each row equals
+the per-example method bit for bit.  They count no operations: the counters
+describe training steps.  The per-example methods
 stay the training path.
 """
 
@@ -272,10 +274,21 @@ class _BitEncoder(Encoder):
         """0-based rows of the category's one-bits, ascending, for fancy indexing."""
         return np.array([i - 1 for i in self._positions(category)])
 
-    def _all_ids_and_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Categories 1..N as an (N,) array and their (N, width) bit matrix."""
-        ids = np.arange(1, self.n_categories + 1)
-        return ids, bit_matrix(ids, self.width)
+    def _bit_sum_table(self) -> np.ndarray:
+        """(N+1, K) table whose row c is category c's bit-row sum, ascending; row 0 is +0.0.
+
+        Doubling: ``S[2**h + r] = S[r] + w[h]`` for r < 2**h, so ``width``
+        vector adds fill every row, each adding the high bit last as the
+        scalar sum does.  Only rows with bit h set get ``w[h]``, so an
+        infinite row stays out of the other categories.
+        """
+        table = np.empty((self.n_categories + 1, self.k))
+        table[0] = 0.0
+        for h in range(self.width):
+            low = 1 << h
+            high = min(2 * low, table.shape[0])
+            np.add(table[: high - low], self.bit_weights[h], out=table[low:high])
+        return table
 
     def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
         """Categorical term of B rows: each adds the weight rows of its one-bits, ascending.
@@ -338,8 +351,7 @@ class BinaryLayer(_BitEncoder):
         return ordered_sum(self.bit_weights[rows])
 
     def all_contributions(self) -> np.ndarray:
-        _, bits = self._all_ids_and_bits()
-        return self._bit_sum_batch(bits)
+        return self._bit_sum_table()[1:]
 
 
 @dataclass
@@ -459,8 +471,20 @@ class AugmentedBinaryLayer(_BitEncoder):
         return ordered_sum(np.concatenate((self.bit_weights[rows], *self._memory_terms(category, rows))))
 
     def all_contributions(self) -> np.ndarray:
-        ids, bits = self._all_ids_and_bits()
-        return self._add_memories_batch(self._bit_sum_batch(bits), ids, bits)
+        """Bit sums, plus each category's memory, minus its one-bits' memories, ascending.
+
+        Row c of the table has bit i set in the second half of each block of
+        2**(i+1) rows: a strided view of the full blocks and a slice of the
+        partial last block reach exactly those rows, without a mask.
+        """
+        table = self._bit_sum_table()
+        table[1:] += self.cat_memory
+        for i in range(self.width):
+            half = 1 << i
+            full = table.shape[0] // (2 * half) * 2 * half
+            table[:full].reshape(-1, 2, half, self.k)[:, 1] -= self.bit_memory[:, i]
+            table[full + half :] -= self.bit_memory[:, i]
+        return table[1:]
 
 
 ENCODERS: dict[str, type[Encoder]] = {

@@ -21,6 +21,22 @@ Derived draws are defined once here and are normative for the package:
                   returning ``r*cos(t)`` then ``r*sin(t)`` with
                   ``r = sqrt(-2 ln u1)`` and ``t = 2 pi u2``; the pair is
                   consumed in that fixed order before new draws are made.
+
+Block draws are normative too, and equal to the scalar ones.  SplitMix64 is
+counter-based: draw i from state s mixes ``s + i*gamma mod 2**64``.  So
+:meth:`SplitMix64.next_u64_block` computes the next ``count`` draws at once
+with wrapping ``uint64`` arithmetic and the same shifts and multipliers as
+:meth:`SplitMix64.next_u64`, and advances the state by ``count*gamma``;
+the result equals ``count`` calls of ``next_u64``.  The derived draws map a
+block element-wise with the same IEEE operations as the scalar recipes:
+
+* :func:`below_draws`:     ``u % n``
+* :func:`unit_draws`:      ``(u >> 11) * 2.0**-53``, the shift result
+  converted to float64 (exact, since it is below 2**53)
+* :func:`symmetric_draws`: ``(2*unit - 1) * radius``
+
+Gaussian draws stay scalar: their pairs interleave with other draws and
+use libm ``log``/``cos``/``sin``, which numpy does not promise to match.
 """
 
 from __future__ import annotations
@@ -28,6 +44,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -47,6 +65,24 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64_block(self, count: int) -> np.ndarray:
+        """The next ``count`` draws as a ``uint64`` array, equal to ``count`` :meth:`next_u64` calls.
+
+        Like :meth:`next_u64`, it leaves a pending Gaussian in place.
+        """
+        if count < 0:
+            raise InvalidArgumentError(f"draw count must be >= 0, got {count}")
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     def next_unit(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
@@ -75,10 +111,25 @@ class SplitMix64:
 
     def symmetric_array(self, shape: tuple[int, ...], radius: float) -> np.ndarray:
         """float64 array filled in row-major order with symmetric draws."""
-        size = 1
-        for dim in shape:
-            size *= dim
-        flat = np.empty(size, dtype=np.float64)
-        for i in range(size):
-            flat[i] = self.next_symmetric(radius)
-        return flat.reshape(shape)
+        return symmetric_draws(self.next_u64_block(math.prod(shape)), radius).reshape(shape)
+
+
+def below_draws(u: np.ndarray, n) -> np.ndarray:
+    """:meth:`SplitMix64.next_below` of each draw of a block: ``u % n`` as ``uint64``.
+
+    ``n`` is one modulus or one per draw.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    if not n.all():
+        raise InvalidArgumentError("modulus must be >= 1")
+    return u % n
+
+
+def unit_draws(u: np.ndarray) -> np.ndarray:
+    """:meth:`SplitMix64.next_unit` of each draw of a block, as float64."""
+    return (u >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
+def symmetric_draws(u: np.ndarray, radius: float) -> np.ndarray:
+    """:meth:`SplitMix64.next_symmetric` of each draw of a block, as float64."""
+    return (2.0 * unit_draws(u) - 1.0) * radius

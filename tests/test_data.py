@@ -173,6 +173,20 @@ def test_split_rows_deterministic_partition():
     assert sorted(train_a + eval_a) == list(range(100))
 
 
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 10, 257])
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+def test_split_rows_equals_scalar_fisher_yates(n_rows, seed):
+    order = list(range(n_rows))
+    stream = SplitMix64(seed)
+    for i in range(n_rows - 1, 0, -1):
+        j = stream.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    n_train = n_rows - int(n_rows * 0.3)
+    train, held_out = split_rows(n_rows, 0.3, seed)
+    assert (train, held_out) == (order[:n_train], order[n_train:])
+    assert all(type(i) is int for i in train + held_out)
+
+
 def test_split_rows_validates_fraction():
     with pytest.raises(InvalidArgumentError):
         split_rows(10, 1.0, 0)

@@ -20,12 +20,12 @@ from augbin import (
     SplitMix64,
     TwinPair,
     VerifyConfig,
-    bit_overlap,
     brute_force_check,
     build_network,
     build_onehot_twin,
     contributions_matrix,
     divergence_budget,
+    encode,
     interference_errors,
     isolation_errors,
     isolation_probe,
@@ -56,6 +56,11 @@ def loop_isolation_errors(probe):
             off = max(off, float(np.max(np.abs(probe.deltas[c - 1]))))
     on = float(np.max(np.abs(probe.deltas[probe.category - 1] + probe.encoder_delta)))
     return off, on
+
+
+def bit_overlap(a, b, width):
+    """Number of one-bit positions two category codes share."""
+    return len(set(encode(a, width).positions) & set(encode(b, width).positions))
 
 
 def loop_interference_errors(probe, width):
@@ -262,7 +267,7 @@ def test_array_checks_match_loop_oracles_exactly(n_categories, k, n_numeric, hid
 def _nan_probe():
     deltas = np.zeros((5, 2))
     deltas[3, 1] = np.nan  # category 4 moved by NaN
-    return ProbeResult(category=2, deltas=deltas, encoder_delta=np.zeros(2))
+    return ProbeResult(category=2, deltas=deltas, encoder_delta=np.zeros(2), after=np.zeros((5, 2)))
 
 
 def test_isolation_errors_propagate_nan():
@@ -420,6 +425,47 @@ def test_synthetic_stream_is_deterministic():
         assert np.array_equal(ta, tb)
 
 
+def loop_synthetic_stream(seed, n_categories, n_numeric, target_width, count):
+    """Reference oracle for ``synthetic_stream``: one scalar draw per value."""
+    stream = SplitMix64(seed)
+    examples = []
+    for _ in range(count):
+        category = stream.next_below(n_categories) + 1
+        numerics = np.array([stream.next_symmetric(1.0) for _ in range(n_numeric)])
+        target = np.array([stream.next_symmetric(1.0) for _ in range(target_width)])
+        examples.append((category, numerics, target))
+    return examples
+
+
+def _assert_same_examples(got, expected):
+    assert len(got) == len(expected)
+    for row, reference in zip(got, expected):
+        assert len(row) == len(reference)
+        assert type(row[0]) is int and row[0] == reference[0]
+        for value, ref in zip(row[1:], reference[1:]):
+            assert type(value) is np.ndarray and value.dtype == ref.dtype == np.float64
+            assert value.shape == ref.shape
+            assert value.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, n_categories, n_numeric, target_width, count",
+    [(0, 1, 0, 0, 5), (5, 10, 2, 1, 1), (3, 37, 3, 1, 200), (2**64 - 1, 65536, 3, 1, 300),
+     (7, 2, 0, 2, 0), (9, 5, 4, 0, 7)],
+)
+def test_synthetic_stream_and_probes_equal_scalar_draws(seed, n_categories, n_numeric, target_width, count):
+    expected = loop_synthetic_stream(seed, n_categories, n_numeric, target_width, count)
+    _assert_same_examples(synthetic_stream(seed, n_categories, n_numeric, target_width, count), expected)
+    probes = loop_synthetic_stream(seed, n_categories, n_numeric, 0, count)
+    _assert_same_examples(probe_inputs(seed, n_categories, n_numeric, count), [row[:2] for row in probes])
+
+
+def test_probe_inputs_do_not_call_synthetic_stream(monkeypatch):
+    # The benchmark tracer times harness.synthetic_stream; probes must stay out of it.
+    monkeypatch.setattr(augbin.harness, "synthetic_stream", None)
+    assert len(probe_inputs(1, 9, 2, 3)) == 3
+
+
 def test_synthetic_stream_recipe_matches_documentation():
     stream = SplitMix64(5)
     category = stream.next_below(10) + 1
@@ -451,6 +497,21 @@ def test_run_verification_default_suites_pass():
 def test_run_verification_passes_at_4096_categories():
     outcome = run_verification(VerifyConfig(n_categories=4096))  # width 13
     assert outcome.verdicts() == dict.fromkeys(outcome.suites, True)
+
+
+def test_run_verification_passes_at_65536_categories():
+    outcome = run_verification(VerifyConfig(n_categories=65536))  # width 17
+    assert outcome.verdicts() == dict.fromkeys(outcome.suites, True)
+
+
+def test_run_verification_reuses_each_probe_after_matrix(monkeypatch):
+    # 5 isolation and 5 control probes: one "before" build per loop and one
+    # "after" build per probe, plus the two twins and the lockstep row distance.
+    calls = []
+    real = augbin.harness.contributions_matrix
+    monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e: calls.append(e) or real(e))
+    run_verification(_SMALL_VERIFY)
+    assert len(calls) == 3 + 2 * (1 + 5)
 
 
 def test_run_verification_fault_caught_by_isolation_suite():

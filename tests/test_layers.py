@@ -286,9 +286,10 @@ def test_contributions_matrix_stacks_all_categories():
 
 @given(
     kind=st.sampled_from(tuple(ENCODERS)),
-    # N in {1, 2, 3} and 2**n - 1, 2**n up to 1024: widths of 8 and more are
-    # where a pairwise np.sum over the bits would change the order.
-    n_categories=st.sampled_from([1, 2, 3] + [2**n + d for n in range(2, 11) for d in (-1, 0)]),
+    # N in {1, 2, 3} and 2**n - 1, 2**n, 2**n + 1 up to 1025: widths of 8 and
+    # more are where a pairwise np.sum over the bits would change the order,
+    # and 2**n + 1 leaves the top bit a partial block of two categories.
+    n_categories=st.sampled_from([1, 2, 3] + [2**n + d for n in range(2, 11) for d in (-1, 0, 1)]),
     k=st.integers(1, 10),
     n_numeric=st.integers(0, 2),
     steps=st.integers(1, 4),
@@ -316,12 +317,27 @@ def test_contributions_matrix_matches_scalar_oracle_bit_for_bit(kind, n_categori
                 return
 
 
+@pytest.mark.parametrize("n_categories", [65535, 65536, 65537])
+@pytest.mark.parametrize("kind", ["binary", "augmented"])
+def test_contributions_matrix_matches_scalar_oracle_at_large_tables(kind, n_categories):
+    net = build_network(NetworkConfig(encoder_kind=kind, n_categories=n_categories, n_numeric=1, k=3, seed=5))
+    # Steps on the top categories fill the memory of bit 17, whose rows form
+    # a partial last block when N >= 65536.
+    for category in (n_categories, 1, 2**15 + 3, n_categories - 1, 65535, 7):
+        net.sgd_step(category, [0.5], [0.3, -0.2, 0.1], 0.5)
+    matrix = contributions_matrix(net.encoder)
+    assert matrix.shape == (n_categories, 3)
+    assert matrix.tobytes() == scalar_contributions_matrix(net.encoder).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["binary", "augmented"])
 def test_contributions_matrix_keeps_an_infinite_bit_row_to_its_categories(kind):
     layer = ENCODERS[kind].fresh(11, 0, 3, SplitMix64(4))
     if kind == "augmented":
         layer.apply_update(5, (), np.array([0.1, -0.2, 0.3]))
     layer.bit_weights[3] = np.inf  # bit 4: only categories 8..11 use it
+    if kind == "augmented":
+        layer.bit_memory[:, 3] = -np.inf  # subtracted from the same categories only
     matrix = contributions_matrix(layer)
     assert matrix.tobytes() == scalar_contributions_matrix(layer).tobytes()
     assert np.all(np.isfinite(matrix[:7]))  # never 0 * inf = NaN

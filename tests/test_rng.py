@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augbin import SplitMix64
+from augbin import InvalidArgumentError, SplitMix64
+from augbin.rng import below_draws, symmetric_draws, unit_draws
 
 
 def test_reference_outputs_seed_zero():
@@ -120,3 +121,84 @@ def test_symmetric_array_fills_row_major():
 def test_symmetric_array_empty_shape_dimension():
     arr = SplitMix64(1).symmetric_array((0, 4), 1.0)
     assert arr.shape == (0, 4)
+
+
+_BLOCK_SEEDS = [0, 42, 2**64 - 1, 123456789]
+
+
+def _scalar_u64(stream, count):
+    return [stream.next_u64() for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", _BLOCK_SEEDS)
+def test_u64_block_equals_scalar_draws_across_block_boundaries(seed):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    expected = _scalar_u64(scalar, 10000)
+    parts = [block.next_u64_block(count) for count in (3333, 0, 1, 6666)]
+    assert all(part.dtype == np.uint64 for part in parts)
+    assert np.concatenate(parts).tolist() == expected
+    assert block._state == scalar._state
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("seed", _BLOCK_SEEDS)
+def test_u64_block_mixes_with_scalar_calls(seed):
+    scalar, mixed = SplitMix64(seed), SplitMix64(seed)
+    expected = _scalar_u64(scalar, 1 + 17 + 2 + 5)
+    drawn = [mixed.next_u64()]
+    drawn += mixed.next_u64_block(17).tolist()
+    drawn += [mixed.next_u64(), mixed.next_u64()]
+    drawn += mixed.next_u64_block(5).tolist()
+    assert drawn == expected
+    assert mixed._state == scalar._state
+
+
+def test_u64_block_of_zero_draws_leaves_the_state():
+    stream = SplitMix64(42)
+    block = stream.next_u64_block(0)
+    assert block.shape == (0,) and block.dtype == np.uint64
+    assert stream.next_u64() == SplitMix64(42).next_u64()
+
+
+def test_u64_block_rejects_a_negative_count():
+    with pytest.raises(InvalidArgumentError):
+        SplitMix64(0).next_u64_block(-1)
+
+
+def test_u64_block_leaves_a_pending_gaussian_next():
+    scalar, block = SplitMix64(11), SplitMix64(11)
+    scalar.next_gaussian()
+    block.next_gaussian()
+    pending = scalar.next_gaussian()
+    assert block.next_u64_block(4).tolist() == _scalar_u64(scalar, 4)
+    assert block.next_gaussian() == pending
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("seed", _BLOCK_SEEDS)
+def test_block_maps_equal_scalar_draws(seed):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    units = unit_draws(block.next_u64_block(500))
+    assert units.dtype == np.float64
+    assert units.tobytes() == np.array([scalar.next_unit() for _ in range(500)]).tobytes()
+    for radius in (0.5, 1.0 / 3.0, np.float64(1.0) / np.sqrt(17)):
+        values = symmetric_draws(block.next_u64_block(500), radius)
+        expected = np.array([scalar.next_symmetric(radius) for _ in range(500)])
+        assert values.dtype == np.float64
+        assert values.tobytes() == expected.tobytes()
+    for n in (1, 3, 10, 2**32 + 1, 2**63 + 5):
+        assert below_draws(block.next_u64_block(500), n).tolist() == [scalar.next_below(n) for _ in range(500)]
+    moduli = np.arange(500, 0, -1)
+    assert below_draws(block.next_u64_block(500), moduli).tolist() == [scalar.next_below(int(n)) for n in moduli]
+
+
+def test_below_draws_rejects_a_zero_modulus():
+    with pytest.raises(InvalidArgumentError):
+        below_draws(SplitMix64(0).next_u64_block(3), 0)
+
+
+def test_symmetric_array_equals_scalar_draws_at_scale():
+    values = SplitMix64(123456789).symmetric_array((300, 7), np.float64(1.0) / np.sqrt(300))
+    replay = SplitMix64(123456789)
+    expected = [replay.next_symmetric(np.float64(1.0) / np.sqrt(300)) for _ in range(2100)]
+    assert values.tobytes() == np.array(expected).reshape(300, 7).tobytes()
