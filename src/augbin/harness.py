@@ -150,10 +150,13 @@ def lockstep_train(
     """Feed both networks the identical stream; record pre-update divergence.
 
     Per step: forward both on the example, record max |output difference| and
-    the loss pair, then apply one SGD step to each.  ``counters`` sees only
-    the augmented network's training work.  Afterward the trace carries the
-    largest gap between the one-hot category rows and the augmented encoder's
-    effective contributions, which measures drift in parameter space.
+    the loss pair, then update each network from that same forward.  The
+    pre-update output is the step's own forward (its ``ForwardCache``), so
+    each network runs one forward per step, as ``sgd_step`` would.
+    ``counters`` sees only the augmented network's training work.  Afterward
+    the trace carries the largest gap between the one-hot category rows and
+    the augmented encoder's effective contributions, which measures drift in
+    parameter space.
     """
     stream = list(stream)[: config.steps]
     if len(stream) < config.steps:
@@ -161,13 +164,14 @@ def lockstep_train(
     trace = DivergenceTrace()
     for step, (category, numerics, target) in enumerate(stream):
         try:
-            out_a = pair.augmented.predict(category, numerics)
-            out_o = pair.onehot.predict(category, numerics)
+            cache_a = pair.augmented.forward(category, numerics, counters)
+            cache_o = pair.onehot.forward(category, numerics)
+            out_a, out_o = cache_a.output, cache_o.output
             trace.max_output_diffs.append(float(np.max(np.abs(out_a - out_o))))
             target = np.asarray(target, dtype=np.float64)
             trace.loss_pairs.append((mse_loss(out_a, target), mse_loss(out_o, target)))
-            pair.augmented.sgd_step(category, numerics, target, config.learning_rate, counters)
-            pair.onehot.sgd_step(category, numerics, target, config.learning_rate)
+            pair.augmented.update(cache_a, target, config.learning_rate, counters)
+            pair.onehot.update(cache_o, target, config.learning_rate)
         except NumericError as err:
             raise NumericError(f"lockstep step {step}: {err}") from err
     rows = pair.onehot.encoder.cat_weights
@@ -219,13 +223,19 @@ def interference_errors(probe: ProbeResult, width: int) -> tuple[float, float]:
 
     Returns (worst deviation from predicted interference, largest predicted
     off-category interference magnitude).  The prediction: a step on c' moves
-    category c's contribution by -step * |shared one bits of c and c'|.
+    category c's contribution by -step * |shared one bits of c and c'|, the
+    popcount of ``c & c'``.
     """
-    bits = bit_matrix(np.arange(1, probe.deltas.shape[0] + 1), width)
-    overlap = (bits & bits[probe.category - 1]).sum(axis=1)
+    categories = np.arange(1, probe.deltas.shape[0] + 1)
+    bit_matrix(categories[-1:], width)  # range check: the width must represent category N
+    overlap = np.bitwise_count(categories & probe.category)
     predicted = -probe.encoder_delta * overlap[:, None]
-    off_predicted = np.delete(predicted, probe.category - 1, axis=0)
-    return _worst(np.abs(probe.deltas - predicted)), _worst(np.abs(off_predicted))
+    # In place: at large N each (N, K) temporary costs more than the arithmetic.
+    errors = probe.deltas - predicted
+    np.abs(errors, out=errors)
+    np.abs(predicted, out=predicted)
+    predicted[probe.category - 1] = 0.0  # the trained category's own move is not interference
+    return _worst(errors), _worst(predicted)
 
 
 @dataclass(frozen=True)
@@ -247,11 +257,16 @@ def brute_force_check(
 ) -> ReplayReport:
     """Replay the update history independently and compare every category.
 
-    Trains a small encoder-only augmented network, recording the (category,
-    step-vector) history.  After each step, a second implementation
-    recomputes all parameter matrices and every effective contribution by
-    direct summation over the history, and compares them with the live layer
-    within ``tolerance``.  ``corrupt_at`` = (step, category, neuron) injects
+    Trains a small encoder-only augmented network.  A second implementation
+    keeps its own copy of every parameter matrix as a running sum over the
+    (category, step-vector) history in step order: after each step it
+    subtracts that step's vector from the trained category's bit rows,
+    memory row and bit-memory columns.  These are the subtractions, in the
+    same order, of a replay of the whole history from the initial values,
+    and like it they use nothing of the layer's code but the step vectors.
+    It then recomputes every effective contribution by direct summation and
+    compares the matrices and contributions with the live layer within
+    ``tolerance``.  ``corrupt_at`` = (step, category, neuron) injects
     a deliberate memory corruption after that step, for testing the check
     itself.
     """
@@ -269,29 +284,23 @@ def brute_force_check(
     )
     encoder = net.encoder
     width = encoder.width
-    bits0 = encoder.bit_weights.copy()
-    cat0 = encoder.cat_memory.copy()
-    bitmem0 = encoder.bit_memory.copy()
+    bits_replay = encoder.bit_weights.copy()
+    catmem_replay = encoder.cat_memory.copy()
+    bitmem_replay = encoder.bit_memory.copy()
     positions = {c: encode(c, width).positions for c in range(1, n_categories + 1)}
 
     categories, targets = _draw_examples(seed + 1, n_categories, steps, k)
-    history: list[tuple[int, np.ndarray]] = []
     max_err = 0.0
     for step, (category, target) in enumerate(zip(categories, targets)):
         delta = net.sgd_step(category, (), target, learning_rate)
-        history.append((category, delta.copy()))
         if corrupt_at is not None and corrupt_at[0] == step:
             encoder.cat_memory[corrupt_at[1] - 1, corrupt_at[2]] += 1e-3
 
-        # Independent replay: plain sums over the recorded history.
-        bits_replay = bits0.copy()
-        catmem_replay = cat0.copy()
-        bitmem_replay = bitmem0.copy()
-        for past_category, past_delta in history:
-            for i in positions[past_category]:
-                bits_replay[i - 1] -= past_delta
-                bitmem_replay[:, i - 1] -= past_delta
-            catmem_replay[past_category - 1] -= past_delta
+        # Independent replay: plain running sums over the history, in step order.
+        for i in positions[category]:
+            bits_replay[i - 1] -= delta
+            bitmem_replay[:, i - 1] -= delta
+        catmem_replay[category - 1] -= delta
 
         for c in range(1, n_categories + 1):
             expected = np.zeros(k)

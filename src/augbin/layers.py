@@ -18,7 +18,7 @@ The base owns what the three share: input validation, ``k``,
 ``n_numeric``, the named parameter arrays (``params``) and their count,
 the numeric terms of the forward pass, and the numeric-then-bias update.
 ``_BitEncoder`` adds what binary and augmented share: the bit width, the
-one-bit positions of a category, the batched bit-row sum, the table of every
+one-bit rows of a category, the batched bit-row sum, the table of every
 category's bit-row sum, and the seeded draws of a fresh layer.  A concrete
 encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
@@ -176,7 +176,7 @@ class Encoder:
         return z
 
     def _update_numerics_and_bias(self, x: np.ndarray, delta: np.ndarray) -> None:
-        self.num_weights -= np.outer(x, delta)
+        self.num_weights -= x[:, None] * delta
         self.bias -= delta
 
 
@@ -266,13 +266,12 @@ class _BitEncoder(Encoder):
     def width(self) -> int:
         return self.bit_weights.shape[0]
 
-    def _positions(self, category: int) -> tuple[int, ...]:
-        """``encode(category, width).positions``, read off the integer; callers range-check first."""
-        return tuple(i + 1 for i in range(self.width) if category >> i & 1)
-
     def _rows(self, category: int) -> np.ndarray:
-        """0-based rows of the category's one-bits, ascending, for fancy indexing."""
-        return np.array([i - 1 for i in self._positions(category)])
+        """0-based rows of the category's one-bits, ascending: ``encode(category, width).positions`` - 1.
+
+        Read off the Python integer, so any width works; callers range-check first.
+        """
+        return np.array([i for i in range(self.width) if category >> i & 1])
 
     def _bit_sum_table(self) -> np.ndarray:
         """(N+1, K) table whose row c is category c's bit-row sum, ascending; row 0 is +0.0.

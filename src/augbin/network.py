@@ -10,9 +10,15 @@ encoder delta ``lr * dLoss/dz_k`` is computed once and handed to the encoder
 verbatim.  Two networks built from the same seed and fed the same examples
 produce bit-identical parameter trajectories.
 
-The training step (:meth:`Network.sgd_step`) is array-form: the dense
-fan-in sum and the backprop sum over output columns each stack their terms
-and add them with one :func:`~augbin.layers.ordered_sum`, a sequential
+The training step :meth:`Network.sgd_step` is ``update(forward(...))``:
+:meth:`Network.forward` returns a :class:`ForwardCache`, and
+:meth:`Network.update` runs the backward pass and every update from it, so a
+caller that needs the pre-update output (the lockstep harness) reads it off
+the cache instead of running a second forward.
+
+The step is array-form: the dense fan-in sum and the backprop sum over
+output columns each stack their terms and add them with one
+:func:`~augbin.layers.ordered_sum`, a sequential
 ``np.add.accumulate`` from +0.0, never a pairwise reduction or a BLAS
 product, so each equals its ascending ``+=`` loop bit for bit.  The tests
 keep those loops as oracles.
@@ -158,14 +164,14 @@ class Network:
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> ForwardCache:
         numerics = np.asarray(numerics, dtype=np.float64)
         z = self._encoder_forward(category, numerics, counters)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericError("non-finite encoder pre-activation")
         a = self.encoder_activation.apply(z)
         pre = [z]
         post = [a]
         for layer in self.layers:
             z = layer.forward(post[-1], counters)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NumericError("non-finite dense pre-activation")
             pre.append(z)
             post.append(layer.activation.apply(z))
@@ -194,6 +200,27 @@ class Network:
         deltas.reverse()
         return deltas
 
+    def update(
+        self,
+        cache: ForwardCache,
+        target,
+        learning_rate: float,
+        counters: OpCounters | None = None,
+    ) -> np.ndarray:
+        """Backward pass and every update from one forward's cache; returns the encoder delta used.
+
+        ``cache`` must come from :meth:`forward` on the current parameters.
+        """
+        deltas = self.backprop_deltas(cache, target)
+        for idx in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[idx]
+            step = learning_rate * deltas[idx + 1]
+            layer.weights -= cache.activations[idx][:, None] * step
+            layer.bias -= step
+        encoder_delta = learning_rate * deltas[0]
+        self.encoder.apply_update(cache.category, cache.numerics, encoder_delta, counters)
+        return encoder_delta
+
     def sgd_step(
         self,
         category: int,
@@ -202,17 +229,8 @@ class Network:
         learning_rate: float,
         counters: OpCounters | None = None,
     ) -> np.ndarray:
-        """One forward/backward/update pass; returns the encoder delta used."""
-        cache = self.forward(category, numerics, counters)
-        deltas = self.backprop_deltas(cache, target)
-        for idx in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[idx]
-            step = learning_rate * deltas[idx + 1]
-            layer.weights -= np.outer(cache.activations[idx], step)
-            layer.bias -= step
-        encoder_delta = learning_rate * deltas[0]
-        self.encoder.apply_update(category, cache.numerics, encoder_delta, counters)
-        return encoder_delta
+        """One forward/backward/update pass, ``update(forward(...))``; returns the encoder delta used."""
+        return self.update(self.forward(category, numerics, counters), target, learning_rate, counters)
 
     def predict(self, category: int, numerics=()) -> np.ndarray:
         return self.forward(category, numerics).output
@@ -226,12 +244,12 @@ class Network:
             z = self.encoder.forward_batch_folded(categories, numerics)
         else:
             z = self.encoder.forward_batch(categories, numerics)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericError("non-finite encoder pre-activation")
         a = self.encoder_activation.apply(z)
         for layer in self.layers:
             z = layer.forward_batch(a)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NumericError("non-finite dense pre-activation")
             a = layer.activation.apply(z)
         return a

@@ -11,11 +11,16 @@ import augbin.harness
 import augbin.layers
 from augbin import (
     Activation,
+    DivergenceTrace,
     InvalidArgumentError,
     Network,
     NetworkConfig,
+    NumericError,
     OneHotLayer,
+    OpCounters,
     ProbeResult,
+    RangeError,
+    ReplayReport,
     SgdConfig,
     SplitMix64,
     TwinPair,
@@ -30,7 +35,9 @@ from augbin import (
     isolation_errors,
     isolation_probe,
     lockstep_train,
+    mse_loss,
     probe_inputs,
+    run_gradcheck_config,
     run_verification,
     synthetic_stream,
     twin_forward_max_diff,
@@ -73,6 +80,83 @@ def loop_interference_errors(probe, width):
         if c != probe.category:
             largest_predicted = max(largest_predicted, float(np.max(np.abs(predicted))))
     return worst, largest_predicted
+
+
+def loop_lockstep_train(pair, stream, config, counters=None):
+    """Reference oracle for ``lockstep_train``: a ``predict`` pair, then one ``sgd_step`` per network."""
+    stream = list(stream)[: config.steps]
+    trace = DivergenceTrace()
+    for step, (category, numerics, target) in enumerate(stream):
+        try:
+            out_a = pair.augmented.predict(category, numerics)
+            out_o = pair.onehot.predict(category, numerics)
+            trace.max_output_diffs.append(float(np.max(np.abs(out_a - out_o))))
+            target = np.asarray(target, dtype=np.float64)
+            trace.loss_pairs.append((mse_loss(out_a, target), mse_loss(out_o, target)))
+            pair.augmented.sgd_step(category, numerics, target, config.learning_rate, counters)
+            pair.onehot.sgd_step(category, numerics, target, config.learning_rate)
+        except NumericError as err:
+            raise NumericError(f"lockstep step {step}: {err}") from err
+    rows = pair.onehot.encoder.cat_weights
+    trace.final_row_distance = float(np.max(np.abs(rows - contributions_matrix(pair.augmented.encoder))))
+    return trace
+
+
+def loop_brute_force_check(n_categories, k, steps, seed, tolerance=1e-12, learning_rate=0.1, corrupt_at=None):
+    """Reference oracle for ``brute_force_check``: replays the whole history from the start after every step."""
+    net = build_network(
+        NetworkConfig(
+            encoder_kind="augmented", n_categories=n_categories, n_numeric=0, k=k,
+            encoder_activation=Activation.IDENTITY, seed=seed,
+        )
+    )
+    encoder = net.encoder
+    worst = augbin.harness._worst
+    bits0 = encoder.bit_weights.copy()
+    cat0 = encoder.cat_memory.copy()
+    bitmem0 = encoder.bit_memory.copy()
+    positions = {c: encode(c, encoder.width).positions for c in range(1, n_categories + 1)}
+    categories, targets = augbin.harness._draw_examples(seed + 1, n_categories, steps, k)
+    history = []
+    max_err = 0.0
+    for step, (category, target) in enumerate(zip(categories, targets)):
+        delta = net.sgd_step(category, (), target, learning_rate)
+        history.append((category, delta.copy()))
+        if corrupt_at is not None and corrupt_at[0] == step:
+            encoder.cat_memory[corrupt_at[1] - 1, corrupt_at[2]] += 1e-3
+        bits_replay = bits0.copy()
+        catmem_replay = cat0.copy()
+        bitmem_replay = bitmem0.copy()
+        for past_category, past_delta in history:
+            for i in positions[past_category]:
+                bits_replay[i - 1] -= past_delta
+                bitmem_replay[:, i - 1] -= past_delta
+            catmem_replay[past_category - 1] -= past_delta
+        for c in range(1, n_categories + 1):
+            expected = np.zeros(k)
+            for i in positions[c]:
+                expected += bits_replay[i - 1]
+            expected += catmem_replay[c - 1]
+            for i in positions[c]:
+                expected -= bitmem_replay[:, i - 1]
+            errs = np.abs(encoder.effective_contribution(c) - expected)
+            failing = np.flatnonzero(~(errs <= tolerance))
+            if failing.size:
+                neuron = int(failing[0])
+                max_err = worst([max_err, *errs[: neuron + 1]])
+                return ReplayReport(False, steps, max_err, (step, c, neuron))
+            max_err = worst([max_err, *errs])
+        matrix_err = worst(
+            [
+                worst(np.abs(encoder.bit_weights - bits_replay)),
+                worst(np.abs(encoder.cat_memory - catmem_replay)),
+                worst(np.abs(encoder.bit_memory - bitmem_replay)),
+            ]
+        )
+        max_err = worst([max_err, matrix_err])
+        if not matrix_err <= tolerance:
+            return ReplayReport(False, steps, max_err, (step, 0, 0))
+    return ReplayReport(True, steps, max_err, None)
 
 
 def _aug_net(seed=0, n_categories=9, k=4, n_numeric=2, hidden=(1,)):
@@ -194,6 +278,62 @@ def test_lockstep_losses_track_both_models():
         assert abs(loss_a - loss_o) <= 1e-10
 
 
+def _param_bytes(net):
+    arrays = [array for _, array in net.encoder.params()]
+    for layer in net.layers:
+        arrays += [layer.weights, layer.bias]
+    return [array.tobytes() for array in arrays]
+
+
+def _hex(values):
+    return [float.hex(float(value)) for value in np.ravel(values)]
+
+
+@pytest.mark.parametrize("hidden", [(), (4, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_equals_predict_pair_oracle(hidden, seed):
+    width = hidden[-1] if hidden else 4
+    stream = synthetic_stream(seed + 2, 9, 2, width, 60)
+    config = SgdConfig(0.3, 60)
+    pairs, traces, counters = [], [], []
+    for train in (lockstep_train, loop_lockstep_train):
+        pairs.append(build_onehot_twin(_aug_net(seed=seed, hidden=hidden)))
+        counters.append(OpCounters())
+        traces.append(train(pairs[-1], stream, config, counters[-1]))
+    got, expected = traces
+    assert _hex(got.max_output_diffs) == _hex(expected.max_output_diffs)
+    assert _hex(got.loss_pairs) == _hex(expected.loss_pairs)
+    assert float.hex(got.final_row_distance) == float.hex(expected.final_row_distance)
+    assert counters[0] == counters[1]
+    assert counters[0].encoding_param_updates > 0
+    for side in ("augmented", "onehot"):
+        assert _param_bytes(getattr(pairs[0], side)) == _param_bytes(getattr(pairs[1], side))
+
+
+def _diverging_pair():
+    net = build_network(
+        NetworkConfig(
+            encoder_kind="augmented", n_categories=9, n_numeric=2, k=4, hidden=(4, 1),
+            encoder_activation=Activation.IDENTITY, hidden_activation=Activation.IDENTITY,
+            output_activation=Activation.IDENTITY, seed=0,
+        )
+    )
+    return build_onehot_twin(net)
+
+
+def test_lockstep_divergence_raises_as_the_oracle_does():
+    stream = synthetic_stream(5, 9, 2, 1, 200)
+    messages, params = [], []
+    for train in (lockstep_train, loop_lockstep_train):
+        pair = _diverging_pair()
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            train(pair, stream, SgdConfig(3.0, 200))
+        messages.append(str(err.value))
+        params.append(_param_bytes(pair.augmented) + _param_bytes(pair.onehot))
+    assert messages[0] == messages[1] == "lockstep step 5: non-finite dense pre-activation"
+    assert params[0] == params[1]
+
+
 def test_probe_with_matching_target_changes_nothing():
     net = _aug_net(seed=4)
     x = np.array([0.5, -0.5])
@@ -229,6 +369,38 @@ def test_probe_on_binary_matches_overlap_prediction():
     err, witnessed = interference_errors(probe, net.encoder.width)
     assert err <= 1e-12
     assert witnessed > 1e-12  # categories 1 and 2 both share a bit with 3
+
+
+def _popcount_predicted(n_categories, category, encoder_delta):
+    """The control's predicted deltas, each overlap counted on the Python integers."""
+    overlap = np.array([bin(c & category).count("1") for c in range(1, n_categories + 1)])
+    return -encoder_delta * overlap[:, None]
+
+
+@pytest.mark.parametrize("n_categories", [1, 2, 3, 7, 8, 255, 256, 65536])
+def test_interference_errors_predict_the_oracle_deltas_exactly(n_categories):
+    width = n_categories.bit_length()
+    stream = SplitMix64(n_categories)
+    encoder_delta = stream.symmetric_array((1, 3), 0.5)[0]
+    drawn = stream.next_below(n_categories) + 1
+    for category in sorted({1, n_categories // 2 + 1, n_categories, drawn}):
+        predicted = _popcount_predicted(n_categories, category, encoder_delta)
+        # Deltas equal to the prediction leave no deviation unless a predicted entry differs.
+        exact = ProbeResult(category, predicted.copy(), encoder_delta, predicted)
+        assert interference_errors(exact, width)[0] == 0.0
+    # The loop oracle makes two encode calls per category: once per size.
+    predicted = _popcount_predicted(n_categories, drawn, encoder_delta)
+    noisy = ProbeResult(drawn, predicted + stream.symmetric_array(predicted.shape, 1e-3), encoder_delta, predicted)
+    assert interference_errors(noisy, width) == loop_interference_errors(noisy, width)
+
+
+def test_interference_errors_reject_an_unrepresentable_category():
+    probe = ProbeResult(1, np.zeros((8, 2)), np.ones(2), np.zeros((8, 2)))
+    assert interference_errors(probe, 4) == loop_interference_errors(probe, 4)  # 8 fits in 4 bits
+    with pytest.raises(RangeError):
+        interference_errors(probe, 3)  # 8 needs 4 bits
+    with pytest.raises(InvalidArgumentError):
+        interference_errors(probe, 0)
 
 
 @given(
@@ -416,6 +588,31 @@ def test_replay_enforces_bounds():
         brute_force_check(8, 4, 51, 0)
 
 
+def _replay_fields(report):
+    return report.passed, report.steps, float.hex(report.max_abs_err), report.first_failure
+
+
+@pytest.mark.parametrize("n_categories", range(1, 9))
+def test_replay_equals_full_history_oracle(n_categories):
+    for k in range(1, 5):
+        for steps in (0, 1, 50):
+            for seed in range(10):
+                got = brute_force_check(n_categories, k, steps, seed)
+                expected = loop_brute_force_check(n_categories, k, steps, seed)
+                assert _replay_fields(got) == _replay_fields(expected), (k, steps, seed)
+
+
+@pytest.mark.parametrize("corrupt_step", [0, 10, 49])
+@pytest.mark.parametrize("n_categories, k", [(8, 4), (3, 2), (1, 1)])
+def test_corrupted_replay_equals_full_history_oracle(corrupt_step, n_categories, k):
+    for seed in range(10):
+        corrupt_at = (corrupt_step, seed % n_categories + 1, seed % k)
+        got = brute_force_check(n_categories, k, 50, seed, corrupt_at=corrupt_at)
+        expected = loop_brute_force_check(n_categories, k, 50, seed, corrupt_at=corrupt_at)
+        assert not got.passed
+        assert _replay_fields(got) == _replay_fields(expected), seed
+
+
 def test_synthetic_stream_is_deterministic():
     a = synthetic_stream(5, 10, 2, 1, 20)
     b = synthetic_stream(5, 10, 2, 1, 20)
@@ -512,6 +709,21 @@ def test_run_verification_reuses_each_probe_after_matrix(monkeypatch):
     monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e: calls.append(e) or real(e))
     run_verification(_SMALL_VERIFY)
     assert len(calls) == 3 + 2 * (1 + 5)
+
+
+def test_run_verification_lockstep_makes_two_forwards_per_step(monkeypatch):
+    calls = []
+    real = Network.forward
+    monkeypatch.setattr(Network, "forward", lambda self, *args: calls.append(self) or real(self, *args))
+    for index in range(_SMALL_VERIFY.gradcheck_configs):
+        run_gradcheck_config(_SMALL_VERIFY.seed + 6, index)
+    gradcheck = len(calls)
+    calls.clear()
+    run_verification(_SMALL_VERIFY)
+    # Lockstep: one forward per network per step, whose cache feeds its update.
+    # Then one per isolation and control probe, one per 5th of the 50 folded
+    # states, one per replay step, and the gradient checks.
+    assert len(calls) == 2 * 10 + 2 * 5 + 50 // 5 + 50 + gradcheck
 
 
 def test_run_verification_fault_caught_by_isolation_suite():

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augbin import (
+    Activation,
     AugmentedBinaryLayer,
     BinaryLayer,
     InvalidArgumentError,
+    Network,
     NetworkConfig,
     NumericError,
     OneHotLayer,
@@ -350,14 +352,46 @@ def _binary_of_width(width):
     )
 
 
+def _encode_rows(category, width):
+    return [position - 1 for position in encode(category, width).positions]
+
+
 def test_positions_follow_encoding():
     for width in range(1, 9):
         layer = _binary_of_width(width)
         for category in range(1, 2**width):
-            assert layer._positions(category) == encode(category, width).positions
+            assert layer._rows(category).tolist() == _encode_rows(category, width)
     layer = _binary_of_width(17)
     for category in (1, 2, 2**16 - 1, 2**16, 2**17 - 1):
-        assert layer._positions(category) == encode(category, 17).positions
+        assert layer._rows(category).tolist() == _encode_rows(category, 17)
+    for width in range(1, 71):  # the top category of each width, past 63 bits
+        assert _binary_of_width(width)._rows(2**width - 1).tolist() == _encode_rows(2**width - 1, width)
+
+
+@given(width=st.integers(1, 70), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rows_are_encode_positions_minus_one_at_any_width(width, data):
+    # Python integers, not int64: a layer wider than 63 bits must work.
+    category = data.draw(st.integers(1, 2**width - 1))
+    rows = _binary_of_width(width)._rows(category)
+    assert rows.dtype.kind == "i"
+    assert rows.tolist() == _encode_rows(category, width)
+
+
+def test_binary_layer_wider_than_63_bits_trains_one_step():
+    width = 70
+    layer = BinaryLayer(
+        n_categories=2**width - 1,
+        bit_weights=SplitMix64(3).symmetric_array((width, 2), 0.5),
+        num_weights=np.zeros((1, 2)),
+        bias=np.zeros(2),
+    )
+    net = Network(encoder=layer, encoder_activation=Activation.SIGMOID)
+    before = layer.bit_weights.copy()
+    delta = net.sgd_step(2**69 + 2**64 + 5, [0.5], [0.9, -0.9], 0.1)
+    moved = np.flatnonzero(np.any(layer.bit_weights != before, axis=1))
+    assert moved.tolist() == [0, 2, 64, 69]
+    assert np.array_equal(layer.bit_weights[moved], before[moved] - delta)
 
 
 @pytest.mark.parametrize("cls", list(ENCODERS.values()), ids=list(ENCODERS))

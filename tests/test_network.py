@@ -15,6 +15,7 @@ from augbin import (
     NetworkConfig,
     NumericError,
     OneHotLayer,
+    OpCounters,
     RangeError,
     SgdConfig,
     SplitMix64,
@@ -23,6 +24,7 @@ from augbin import (
     mse_gradient,
     mse_loss,
     run_sgd,
+    synthetic_stream,
 )
 from augbin.gradcheck import analytic_gradients
 from augbin.layers import ENCODERS
@@ -178,6 +180,28 @@ def test_sgd_step_applies_delta_to_downstream_layer():
     net.sgd_step(6, x, target, 0.1)
     expected = weights_before - np.outer(cache.activations[0], 0.1 * deltas[1])
     assert np.max(np.abs(net.layers[0].weights - expected)) <= 1e-15
+
+
+def _param_bytes(net):
+    arrays = [array for _, array in net.encoder.params()]
+    for layer in net.layers:
+        arrays += [layer.weights, layer.bias]
+    return [array.tobytes() for array in arrays]
+
+
+@pytest.mark.parametrize("kind, folded", [("onehot", False), ("binary", False), ("augmented", False), ("augmented", True)])
+def test_sgd_step_equals_update_of_forward(kind, folded):
+    nets = [build_network(_config(kind, seed=4, hidden=(3, 1))) for _ in range(2)]
+    fresh = _param_bytes(nets[0])
+    counters = [OpCounters(), OpCounters()]
+    for net in nets:
+        net.folded_forward = folded
+    for category, numerics, target in synthetic_stream(7, 11, 2, 1, 40):
+        stepped = nets[0].sgd_step(category, numerics, target, 0.3, counters[0])
+        cache = nets[1].forward(category, numerics, counters[1])
+        assert nets[1].update(cache, target, 0.3, counters[1]).tobytes() == stepped.tobytes()
+    assert counters[0] == counters[1]
+    assert _param_bytes(nets[0]) == _param_bytes(nets[1]) != fresh
 
 
 def test_run_sgd_tracks_mean_loss_per_step():
