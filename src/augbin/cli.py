@@ -1,8 +1,9 @@
 """Command line interface: gen, train, verify, bench.
 
 Every option can also come from a JSON config file (``--config file.json``)
-whose keys match the long flag names with hyphens replaced by underscores;
-flags given on the command line win over config-file values.
+whose keys match the long flag names with hyphens replaced by underscores.
+Each value is read as the text of its flag, by the same parser, ahead of the
+command-line flags, so those win.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O error, 64 usage error,
 65 data error (unparsable input or a category missing from the vocabulary).
@@ -53,187 +54,142 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-FAULT_CHOICES = ("skip-category-memory",)
 BENCH_STEPS = 256
 BENCH_LEARNING_RATE = 0.1
 BENCH_CSV_HEADER = "encoder,N,n,K,fwd_dense,fwd_sparse,updates,params,median_ns"
 
-
-class UsageError(Exception):
-    """Bad flags or config keys; maps to exit code 64."""
+# No argparse ``required=True``: a config file may supply these, and it would
+# change the usage text.
+_REQUIRED = {"gen": ("out",), "train": ("data", "encoding")}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InvalidArgumentError(message)
 
 
-_DEFAULTS: dict[str, dict] = {
-    "gen": {
-        "seed": 0,
-        "categories": 8,
-        "numeric": 2,
-        "rows": 100,
-        "noise": 0.1,
-        "out": None,
-    },
-    "train": {
-        "data": None,
-        "encoding": None,
-        "folded": False,
-        "lr": 0.1,
-        "steps": 100,
-        "hidden": "",
-        "seed": 0,
-        "report": None,
-        "split": 0.0,
-        "split_seed": 0,
-        "time": False,
-    },
-    "verify": {
-        "seed": 0,
-        "categories": 37,
-        "k": 8,
-        "hidden": "",
-        "steps": 100,
-        "tolerance": 1e-12,
-        "report": None,
-        "fault": None,
-    },
-    "bench": {
-        "categories_list": "16,256,4096",
-        "k": 32,
-        "reps": 3,
-        "seed": 0,
-        "out": None,
-    },
-}
-
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "gen": ("out",),
-    "train": ("data", "encoding"),
-    "verify": (),
-    "bench": (),
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="augbin", description="Augmented binary encoding toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    s = argparse.SUPPRESS
-
-    gen = sub.add_parser("gen", help="generate a synthetic CSV dataset")
-    gen.add_argument("--seed", type=int, default=s)
-    gen.add_argument("--categories", type=int, default=s)
-    gen.add_argument("--numeric", type=int, default=s)
-    gen.add_argument("--rows", type=int, default=s)
-    gen.add_argument("--noise", type=float, default=s)
-    gen.add_argument("--out", default=s)
-    gen.add_argument("--config", default=s, help="JSON config file; flags win")
-
-    train = sub.add_parser("train", help="train one network on a CSV dataset")
-    train.add_argument("--data", default=s)
-    train.add_argument("--encoding", choices=tuple(ENCODERS), default=s)
-    train.add_argument("--folded", action="store_true", default=s,
-                       help="use the bias-folded forward arrangement")
-    train.add_argument("--lr", type=float, default=s)
-    train.add_argument("--steps", type=int, default=s)
-    train.add_argument("--hidden", default=s, help="comma-separated widths, first is K")
-    train.add_argument("--seed", type=int, default=s)
-    train.add_argument("--report", default=s, help="write the run report JSON here")
-    train.add_argument("--split", type=float, default=s,
-                       help="held-out fraction; vocabulary comes from training rows")
-    train.add_argument("--split-seed", type=int, default=s)
-    train.add_argument("--time", action="store_true", default=s,
-                       help="include wall-clock timings in the report")
-    train.add_argument("--config", default=s, help="JSON config file; flags win")
-
-    verify = sub.add_parser("verify", help="run the full verification suite")
-    verify.add_argument("--seed", type=int, default=s)
-    verify.add_argument("--categories", type=int, default=s)
-    verify.add_argument("--k", type=int, default=s)
-    verify.add_argument("--hidden", default=s, help="extra sigmoid widths before the output unit")
-    verify.add_argument("--steps", type=int, default=s)
-    verify.add_argument("--tolerance", type=float, default=s)
-    verify.add_argument("--report", default=s, help="write the run report JSON here")
-    verify.add_argument("--fault", choices=FAULT_CHOICES, default=s,
-                        help="inject a known defect; the suite must catch it")
-    verify.add_argument("--config", default=s, help="JSON config file; flags win")
-
-    bench = sub.add_parser("bench", help="count operations across encoders and sizes")
-    bench.add_argument("--categories-list", default=s, dest="categories_list")
-    bench.add_argument("--k", type=int, default=s)
-    bench.add_argument("--reps", type=int, default=s)
-    bench.add_argument("--seed", type=int, default=s)
-    bench.add_argument("--out", default=s, help="CSV output path (default stdout)")
-    bench.add_argument("--config", default=s, help="JSON config file; flags win")
-    return parser
-
-
-def _coerce(key: str, value, default):
-    if isinstance(value, list):
-        return ",".join(str(item) for item in value)
-    if default is None or isinstance(value, type(default)):
-        return value
-    if isinstance(default, bool):
-        return bool(value)
-    if isinstance(default, int) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(default, str):
-        return str(value)
-    return value
-
-
-def _load_config_file(path: str, defaults: dict) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"config file {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ParseError(f"config file {path}: top level must be an object")
-    merged = {}
-    for key, value in data.items():
-        name = key.replace("-", "_")
-        if name not in defaults:
-            raise UsageError(f"unknown config key {key!r}")
-        merged[name] = _coerce(name, value, defaults[name])
-    return merged
-
-
-def _parse_options(argv) -> tuple[str, dict]:
-    namespace = _build_parser().parse_args(argv)
-    provided = vars(namespace)
-    command = provided.pop("command")
-    config_path = provided.pop("config", None)
-    options = dict(_DEFAULTS[command])
-    if config_path is not None:
-        options.update(_load_config_file(config_path, _DEFAULTS[command]))
-    options.update(provided)
-    for key in _REQUIRED[command]:
-        if options[key] is None:
-            raise UsageError(f"missing --{key.replace('_', '-')}")
-    if "encoding" in options and options["encoding"] is not None:
-        if options["encoding"] not in tuple(ENCODERS):  # a config value may be unhashable
-            raise UsageError(f"unknown encoding {options['encoding']!r}")
-    if options.get("fault") is not None and options["fault"] not in FAULT_CHOICES:
-        raise UsageError(f"unknown fault {options['fault']!r}")
-    return command, options
-
-
-def _parse_widths(text: str, flag: str) -> tuple[int, ...]:
+def _widths(text: str) -> tuple[int, ...]:
+    """Argparse type for comma-separated positive widths; '' means none."""
     text = text.strip()
     if not text:
         return ()
     try:
         widths = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
     if any(width < 1 for width in widths):
-        raise UsageError(f"{flag} widths must be positive")
+        raise argparse.ArgumentTypeError("widths must be positive")
     return widths
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="augbin", description="Augmented binary encoding toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    gen = sub.add_parser("gen", help="generate a synthetic CSV dataset")
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--categories", type=int, default=8)
+    gen.add_argument("--numeric", type=int, default=2)
+    gen.add_argument("--rows", type=int, default=100)
+    gen.add_argument("--noise", type=float, default=0.1)
+    gen.add_argument("--out")
+
+    train = sub.add_parser("train", help="train one network on a CSV dataset")
+    train.add_argument("--data")
+    train.add_argument("--encoding", choices=tuple(ENCODERS))
+    train.add_argument("--folded", action="store_true",
+                       help="use the bias-folded forward arrangement")
+    train.add_argument("--lr", type=float, default=0.1)
+    train.add_argument("--steps", type=int, default=100)
+    train.add_argument("--hidden", type=_widths, default=(),
+                       help="comma-separated widths, first is K")
+    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--report", help="write the run report JSON here")
+    train.add_argument("--split", type=float, default=0.0,
+                       help="held-out fraction; vocabulary comes from training rows")
+    train.add_argument("--split-seed", type=int, default=0)
+    train.add_argument("--time", action="store_true",
+                       help="include wall-clock timings in the report")
+
+    verify = sub.add_parser("verify", help="run the full verification suite")
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--categories", type=int, default=37)
+    verify.add_argument("--k", type=int, default=8)
+    verify.add_argument("--hidden", type=_widths, default=(),
+                        help="extra sigmoid widths before the output unit")
+    verify.add_argument("--steps", type=int, default=100)
+    verify.add_argument("--tolerance", type=float, default=1e-12)
+    verify.add_argument("--report", help="write the run report JSON here")
+    verify.add_argument("--fault", choices=("skip-category-memory",),
+                        help="inject a known defect; the suite must catch it")
+
+    bench = sub.add_parser("bench", help="count operations across encoders and sizes")
+    bench.add_argument("--categories-list", type=_widths, default=(16, 256, 4096))
+    bench.add_argument("--k", type=int, default=32)
+    bench.add_argument("--reps", type=int, default=3)
+    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--out", help="CSV output path (default stdout)")
+
+    for command in sub.choices.values():
+        command.add_argument("--config", help="JSON config file; flags win")
+    return parser
+
+
+def _config_text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _config_flags(path: str, options: dict) -> list[str]:
+    """The config file's keys as ``--flag=value`` text for the command's parser.
+
+    ``options`` is the command line's parse, so a key's current value tells
+    its kind: a bool is a switch, a tuple a width list.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ParseError(f"config file {path}: {err}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"config file {path}: top level must be an object")
+    flags = []
+    for key, value in data.items():
+        name = key.replace("-", "_")
+        if name not in options or name in ("command", "config"):
+            raise InvalidArgumentError(f"unknown config key {key!r}")
+        flag = "--" + name.replace("_", "-")
+        if value is None:
+            continue
+        if isinstance(options[name], bool):
+            if not isinstance(value, bool):
+                raise InvalidArgumentError(f"config key {key!r} takes true or false")
+            if value:
+                flags.append(flag)
+        elif isinstance(value, list):
+            if not isinstance(options[name], tuple):
+                raise InvalidArgumentError(f"config key {key!r} takes no list")
+            flags.append(f"{flag}={','.join(map(_config_text, value))}")
+        else:
+            flags.append(f"{flag}={_config_text(value)}")
+    return flags
+
+
+def _parse_options(argv) -> tuple[str, dict]:
+    """Parse the flags; a config file's flags go first, so the command line wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    options = vars(parser.parse_args(argv))
+    if options["config"] is not None:
+        flags = _config_flags(options["config"], options)
+        options = vars(parser.parse_args([*argv[:1], *flags, *argv[1:]]))
+    command = options.pop("command")
+    del options["config"]
+    for key in _REQUIRED.get(command, ()):
+        if options[key] is None:
+            raise InvalidArgumentError(f"missing --{key}")
+    return command, options
 
 
 def _cmd_gen(options: dict) -> int:
@@ -275,7 +231,7 @@ def _train_architecture(hidden: tuple[int, ...], target_width: int, encoder_kind
 
 
 def _cmd_train(options: dict) -> int:
-    hidden = _parse_widths(options["hidden"], "--hidden")
+    hidden = options["hidden"]
     eval_examples = None
     if options["split"] > 0.0:
         dataset, eval_examples = load_csv_split(
@@ -334,7 +290,7 @@ def _cmd_train(options: dict) -> int:
 
 
 def _cmd_verify(options: dict) -> int:
-    hidden = _parse_widths(options["hidden"], "--hidden")
+    hidden = options["hidden"]
     config = VerifyConfig(
         seed=options["seed"],
         n_categories=options["categories"],
@@ -425,10 +381,9 @@ def _bench_cell(kind: str, n_categories: int, k: int, reps: int, seed: int):
 
 
 def _cmd_bench(options: dict) -> int:
-    sizes = _parse_widths(options["categories_list"], "--categories-list")
     lines = [BENCH_CSV_HEADER]
     if options["reps"] > 0:
-        for n_categories in sizes:
+        for n_categories in options["categories_list"]:
             for kind in ENCODERS:
                 row = _bench_cell(kind, n_categories, options["k"], options["reps"], options["seed"])
                 lines.append(",".join(str(row[column]) for column in BENCH_CSV_HEADER.split(",")))
@@ -457,9 +412,6 @@ def run(argv=None) -> int:
         return _HANDLERS[command](options)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else int(exc.code)
-    except UsageError as err:
-        print(f"augbin: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (InvalidArgumentError, RangeError) as err:
         print(f"augbin: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,8 +5,8 @@ never quoted; categorical cells are quoted only when they contain a comma.
 Floats are written with 17 significant digits so a save/load cycle reproduces
 the exact 64-bit values.
 
-When no explicit schema is given, the first column is the categorical
-feature, the last column is the target, and everything between is numeric.
+The first column is the categorical feature, the last column is the target,
+and everything between is numeric; column names must be distinct.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ class DatasetSchema:
     def from_header(cls, header) -> "DatasetSchema":
         if len(header) < 2:
             raise ParseError("header needs at least a categorical and a target column")
+        if len(set(header)) != len(header):
+            raise ParseError("header column names must be distinct")
         return cls(
             categorical=header[0],
             numerics=tuple(header[1:-1]),
@@ -98,65 +100,58 @@ def _parse_float(token: str, row: int, column: str) -> float:
 
 def _read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty") from None
-        return header, list(reader)
+            rows = list(csv.reader(handle))
+        except UnicodeDecodeError as err:
+            raise ParseError(f"file is not UTF-8: {err}") from None
+    if not rows:
+        raise ParseError("file is empty")
+    return rows[0], rows[1:]
 
 
-def _parse_table(path, schema: DatasetSchema | None):
+def _parse_table(path):
     header, rows = _read_rows(path)
-    if schema is None:
-        schema = DatasetSchema.from_header(header)
-    for name in (schema.categorical, *schema.numerics, schema.target):
-        if name not in header:
-            raise ParseError(f"missing column {name!r}")
+    schema = DatasetSchema.from_header(header)
     if not rows:
         raise ParseError("no data rows")
-    cat_idx = header.index(schema.categorical)
-    num_idx = [header.index(name) for name in schema.numerics]
-    target_idx = header.index(schema.target)
-
     raw_labels: list[str] = []
-    numerics = np.zeros((len(rows), len(num_idx)))
+    numerics = np.zeros((len(rows), len(schema.numerics)))
     targets = np.zeros((len(rows), 1))
     for row_number, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} cells, found {len(row)}", row=row_number
             )
-        cell = row[cat_idx]
+        cell = row[0]
         if not cell:
             raise ParseError("empty category", row=row_number, column=schema.categorical)
         raw_labels.append(cell)
-        for j, idx in enumerate(num_idx):
-            numerics[row_number - 1, j] = _parse_float(row[idx], row_number, schema.numerics[j])
-        targets[row_number - 1, 0] = _parse_float(row[target_idx], row_number, schema.target)
+        for j, name in enumerate(schema.numerics):
+            numerics[row_number - 1, j] = _parse_float(row[j + 1], row_number, name)
+        targets[row_number - 1, 0] = _parse_float(row[-1], row_number, schema.target)
     return schema, raw_labels, numerics, targets
 
 
-def load_csv(path, schema: DatasetSchema | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Parse a CSV file into a dataset, building the vocabulary as specified.
 
     The vocabulary sorts distinct labels lexicographically, so ids are
     independent of row order.
     """
-    schema, raw_labels, numerics, targets = _parse_table(path, schema)
+    schema, raw_labels, numerics, targets = _parse_table(path)
     vocab = build_vocab(raw_labels)
     categories = [vocab.id_of(label) for label in raw_labels]
     return Dataset(vocab=vocab, categories=categories, numerics=numerics, targets=targets, schema=schema)
 
 
-def load_csv_split(path, eval_fraction: float, seed: int, schema: DatasetSchema | None = None):
+def load_csv_split(path, eval_fraction: float, seed: int):
     """Load with a deterministic held-out split; vocab from training rows only.
 
     Returns (train dataset, eval examples).  An eval row whose category never
     appears in the training rows raises VocabMissError, since the model has
     no id for it.
     """
-    schema, raw_labels, numerics, targets = _parse_table(path, schema)
+    schema, raw_labels, numerics, targets = _parse_table(path)
     train_idx, eval_idx = split_rows(len(raw_labels), eval_fraction, seed)
     vocab = build_vocab([raw_labels[i] for i in train_idx])
     train = Dataset(

@@ -213,9 +213,10 @@ def isolation_probe(
 
 def isolation_errors(probe: ProbeResult) -> tuple[float, float]:
     """(worst off-category movement, worst on-category deviation from -step)."""
-    off = np.delete(probe.deltas, probe.category - 1, axis=0)
     on = probe.deltas[probe.category - 1] + probe.encoder_delta
-    return _worst(np.abs(off)), _worst(np.abs(on))
+    off = np.abs(probe.deltas)
+    off[probe.category - 1] = 0.0  # the trained category's own move is checked by ``on``
+    return _worst(off), _worst(np.abs(on))
 
 
 def interference_errors(probe: ProbeResult, width: int) -> tuple[float, float]:

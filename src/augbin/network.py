@@ -412,14 +412,12 @@ def run_sgd(
     examples,
     config: SgdConfig,
     counters: OpCounters | None = None,
-    track_losses: bool = True,
 ) -> list[float]:
     """Train by cycling through examples in order for config.steps steps.
 
-    Returns the mean dataset loss before training and after every step when
-    ``track_losses`` is set (length steps + 1), else an empty list.  The
-    examples are stacked into one :class:`Batch` up front, so each of those
-    evaluations is one batched pass.
+    Returns the mean dataset loss before training and after every step
+    (length steps + 1).  The examples are stacked into one :class:`Batch` up
+    front, so each of those evaluations is one batched pass.
     """
     examples = [
         (int(c), np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64))
@@ -427,11 +425,10 @@ def run_sgd(
     ]
     if not examples:
         raise InvalidArgumentError("no examples")
-    batch = stack_examples(examples) if track_losses else None
-    losses = [mean_loss(network, batch)] if track_losses else []
+    batch = stack_examples(examples)
+    losses = [mean_loss(network, batch)]
     for step in range(config.steps):
         category, numerics, target = examples[step % len(examples)]
         network.sgd_step(category, numerics, target, config.learning_rate, counters)
-        if track_losses:
-            losses.append(mean_loss(network, batch))
+        losses.append(mean_loss(network, batch))
     return losses

@@ -15,7 +15,7 @@ from jsonschema.exceptions import best_match
 
 SCHEMA_VERSION = "1"
 
-_BASE_PROPERTIES = {
+_PROPERTIES = {
     "schema_version": {"const": SCHEMA_VERSION},
     "config": {"type": "object"},
     "seeds": {"type": "object", "additionalProperties": {"type": "integer"}},
@@ -26,29 +26,18 @@ _BASE_PROPERTIES = {
     "verdicts": {"type": "object", "additionalProperties": {"type": "boolean"}},
 }
 
-_REQUIRED = sorted(_BASE_PROPERTIES)
-
 REPORT_SCHEMA_STRICT = {
     "type": "object",
-    "properties": _BASE_PROPERTIES,
-    "required": _REQUIRED,
+    "properties": _PROPERTIES,
+    "required": sorted(_PROPERTIES),
     "additionalProperties": False,
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "properties": _BASE_PROPERTIES,
-    "required": _REQUIRED,
-    "additionalProperties": True,
 }
 
 
 # Built once: jsonschema.validate re-checks the schema against its metaschema
-# on every call, which costs ten times the validation itself.  Both schemas
-# are constants, so the tests check them instead.
-_Validator = jsonschema.validators.validator_for(REPORT_SCHEMA)
-_STRICT_VALIDATOR = _Validator(REPORT_SCHEMA_STRICT)
-_LENIENT_VALIDATOR = _Validator(REPORT_SCHEMA)
+# on every call, which costs ten times the validation itself.  The schema is
+# a constant, so the tests check it instead.
+_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA_STRICT)(REPORT_SCHEMA_STRICT)
 
 
 def make_report(
@@ -74,14 +63,13 @@ def make_report(
     return report
 
 
-def validate_report(report: dict, strict: bool = True) -> None:
+def validate_report(report: dict) -> None:
     """Raise jsonschema.ValidationError when the report violates the schema.
 
-    Strict mode additionally rejects fields outside the documented set.  The
-    error raised is the one ``jsonschema.validate`` would raise.
+    Fields outside the documented set are rejected too.  The error raised is
+    the one ``jsonschema.validate`` would raise.
     """
-    validator = _STRICT_VALIDATOR if strict else _LENIENT_VALIDATOR
-    error = best_match(validator.iter_errors(report))
+    error = best_match(_VALIDATOR.iter_errors(report))
     if error is not None:
         raise error
 
@@ -96,8 +84,8 @@ def write_report(report: dict, path) -> None:
         handle.write(render_report(report))
 
 
-def read_report(path, strict: bool = True) -> dict:
+def read_report(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         report = json.load(handle)
-    validate_report(report, strict=strict)
+    validate_report(report)
     return report

@@ -14,6 +14,7 @@ from augbin.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     _bench_schedule,
+    _parse_options,
     run,
 )
 
@@ -149,6 +150,19 @@ def test_train_bad_numeric_token(tmp_path):
     assert run(["train", "--data", str(path), "--encoding", "onehot"]) == EXIT_DATA
 
 
+def test_train_duplicate_header_names_are_a_data_error(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("c,x,x,t\na,0.5,0.25,1.0\n")
+    assert run(["train", "--data", str(path), "--encoding", "onehot"]) == EXIT_DATA
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_train_data_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"category,x1,target\n\xe9t\xe9,0.5,1.0\n")
+    assert run(["train", "--data", str(path), "--encoding", "onehot"]) == EXIT_DATA
+
+
 def test_train_split_vocab_miss(tmp_path):
     path = tmp_path / "rare.csv"
     path.write_text(
@@ -257,6 +271,12 @@ def test_config_file_bad_json(tmp_path):
     assert run(["verify", "--config", str(config)]) == EXIT_DATA
 
 
+def test_config_file_not_utf8(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xff\xfe{}')
+    assert run(["verify", "--config", str(config)]) == EXIT_DATA
+
+
 def test_config_file_missing(tmp_path):
     assert run(["verify", "--config", str(tmp_path / "none.json")]) == EXIT_IO
 
@@ -268,6 +288,88 @@ def test_config_file_list_value_for_hidden(dataset_path, tmp_path):
     report_path = tmp_path / "fromconfig.json"
     assert run(["train", "--config", str(config), "--report", str(report_path)]) == EXIT_PASS
     assert read_report(report_path)["config"]["hidden"] == [8]
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        pytest.param(["verify"], {"steps": 2.7}, "--steps", id="int"),
+        pytest.param(["verify"], {"steps": True}, "--steps", id="int-bool"),
+        pytest.param(["verify"], {"tolerance": "tiny"}, "--tolerance", id="float"),
+        pytest.param(["verify"], {"tolerance": [1]}, "'tolerance'", id="float-list"),
+        pytest.param(["train", "--data", "d.csv"], {"encoding": ["onehot"]}, "'encoding'",
+                     id="choice"),
+        pytest.param(["train", "--data", "d.csv", "--encoding", "onehot"], {"folded": "no"},
+                     "'folded'", id="switch"),
+        pytest.param(["train", "--data", "d.csv", "--encoding", "onehot"], {"time": 1},
+                     "'time'", id="switch-int"),
+        pytest.param(["verify"], {"hidden": [8, "x"]}, "--hidden", id="width-list"),
+        pytest.param(["bench"], {"categories_list": [16, 0]}, "--categories-list",
+                     id="width-zero"),
+        pytest.param(["verify"], {"steps": "abc"}, "--steps", id="string"),
+        pytest.param(["train", "--encoding", "onehot"], {"data": None}, "--data",
+                     id="null-required"),
+    ],
+)
+def test_config_file_bad_value_is_a_usage_error(argv, config, named, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(path)]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("augbin: ")
+    assert named in lines[0]
+
+
+_EVERY_OPTION = {
+    "train": (
+        {"data": "d.csv", "encoding": "binary", "folded": True, "lr": 0.05, "steps": 7,
+         "hidden": [8, 3], "seed": 4, "report": "r.json", "split": 0.25, "split_seed": 2,
+         "time": True},
+        ["--data", "d.csv", "--encoding", "binary", "--folded", "--lr", "0.05", "--steps", "7",
+         "--hidden", "8,3", "--seed", "4", "--report", "r.json", "--split", "0.25",
+         "--split-seed", "2", "--time"],
+    ),
+    "verify": (
+        {"seed": 3, "categories": 12, "k": 5, "hidden": [4], "steps": 9, "tolerance": 1e-9,
+         "report": "v.json", "fault": "skip-category-memory"},
+        ["--seed", "3", "--categories", "12", "--k", "5", "--hidden", "4", "--steps", "9",
+         "--tolerance", "1e-9", "--report", "v.json", "--fault", "skip-category-memory"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_OPTION))
+def test_config_file_gives_the_options_of_the_same_flags(command, tmp_path):
+    config, flags = _EVERY_OPTION[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    from_file = _parse_options([command, "--config", str(path)])
+    assert from_file == _parse_options([command, *flags])
+    typed = {key: tuple(value) if isinstance(value, list) else value
+             for key, value in config.items()}
+    assert from_file == (command, typed)  # every option, parsed to its type
+
+
+def test_config_file_null_means_not_given(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"k": None, "fault": None, "hidden": None}))
+    assert _parse_options(["verify", "--config", str(path)]) == _parse_options(["verify"])
+
+
+def test_config_file_false_switch_leaves_the_flag_to_win(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"folded": False, "time": False}))
+    base = ["train", "--data", "d.csv", "--encoding", "onehot", "--config", str(path)]
+    assert _parse_options(base)[1]["folded"] is False
+    assert _parse_options([*base, "--folded"])[1]["folded"] is True
+
+
+@pytest.mark.parametrize("key", ["help", "config", "command", "categories"])
+def test_config_file_rejects_keys_that_are_not_options(key, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: True}))
+    assert run(["bench", "--config", str(path)]) == EXIT_USAGE
 
 
 def test_unknown_subcommand():

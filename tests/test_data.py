@@ -108,12 +108,13 @@ def test_load_csv_empty_file_rejected(tmp_path):
         load_csv(path)
 
 
-def test_load_csv_missing_column_rejected(tmp_path):
-    path = tmp_path / "cols.csv"
-    path.write_text("category,x1,target\na,0.5,1.0\n")
-    schema = DatasetSchema(categorical="category", numerics=("x9",), target="target")
-    with pytest.raises(ParseError, match="x9"):
-        load_csv(path, schema)
+def test_load_csv_duplicate_header_names_are_a_parse_error(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("c,x,x,t\na,0.5,0.25,1.0\n")
+    with pytest.raises(ParseError, match="distinct"):
+        load_csv(path)
+    with pytest.raises(ParseError, match="distinct"):
+        load_csv_split(path, 0.0, 0)
 
 
 def test_load_csv_reports_bad_numeric_position(tmp_path):

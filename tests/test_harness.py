@@ -449,6 +449,16 @@ def test_isolation_errors_propagate_nan():
     assert on == 0.0
 
 
+def test_isolation_errors_leave_the_trained_row_to_on():
+    deltas = _nan_probe().deltas  # NaN in category 4, now the trained one
+    probe = ProbeResult(category=4, deltas=deltas, encoder_delta=np.zeros(2), after=deltas)
+    kept = deltas.copy()
+    off, on = isolation_errors(probe)
+    assert off == 0.0  # the NaN sits in the trained row, which ``off`` skips
+    assert math.isnan(on)
+    assert np.array_equal(probe.deltas, kept, equal_nan=True)
+
+
 def test_interference_errors_propagate_nan():
     worst, _ = interference_errors(_nan_probe(), 3)
     assert math.isnan(worst)

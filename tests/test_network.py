@@ -242,12 +242,6 @@ def test_run_sgd_zero_steps_reports_initial_loss_only():
     assert len(losses) == 1
 
 
-def test_run_sgd_without_tracking():
-    net = build_network(_config())
-    examples = [(1, np.array([0.0, 0.0]), np.array([0.0]))]
-    assert run_sgd(net, examples, SgdConfig(0.1, 3), track_losses=False) == []
-
-
 def test_run_sgd_reduces_loss_on_learnable_data():
     net = build_network(
         NetworkConfig(
