@@ -381,6 +381,8 @@ def _bench_cell(kind: str, n_categories: int, k: int, reps: int, seed: int):
 
 
 def _cmd_bench(options: dict) -> int:
+    if options["reps"] < 0:
+        raise InvalidArgumentError(f"--reps must be >= 0, got {options['reps']}")
     lines = [BENCH_CSV_HEADER]
     if options["reps"] > 0:
         for n_categories in options["categories_list"]:

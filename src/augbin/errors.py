@@ -14,7 +14,7 @@ class NumericError(ArithmeticError):
 
 
 class ParseError(ValueError):
-    """A CSV file failed structural or numeric parsing.
+    """A CSV file or a run report failed structural or numeric parsing.
 
     Carries the 1-based data row index and the column name when known.
     """

@@ -338,7 +338,8 @@ class VerifyConfig:
     widths (sigmoid), then one identity output unit.  ``tolerance`` bounds
     the twin-agreement, isolation, replay, and folded-path suites; lockstep
     drift uses the quadratic growth budget and the gradient check uses its
-    own finite-difference tolerances.
+    own finite-difference tolerances.  ``steps`` and ``tolerance`` must be
+    >= 0; a NaN tolerance is rejected too, since no suite could pass it.
     """
 
     seed: int = 0
@@ -353,6 +354,12 @@ class VerifyConfig:
     isolation_probes: int = 50
     gradcheck_configs: int = 10
     fault: str | None = None
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise InvalidArgumentError(f"steps must be >= 0, got {self.steps}")
+        if not self.tolerance >= 0.0:
+            raise InvalidArgumentError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass

@@ -4,40 +4,38 @@ Rendering is canonical (sorted keys, two-space indent, trailing newline), so
 two runs that compute identical values produce byte-identical files.  Wall
 clock measurements go into ``timings`` only when a caller explicitly
 provides them; verification reports leave it empty to stay reproducible.
+The schema is flat, so plain code checks it; no schema library is needed.
 """
 
 from __future__ import annotations
 
 import json
 
-import jsonschema
-from jsonschema.exceptions import best_match
+from .errors import ParseError
 
 SCHEMA_VERSION = "1"
 
-_PROPERTIES = {
-    "schema_version": {"const": SCHEMA_VERSION},
-    "config": {"type": "object"},
-    "seeds": {"type": "object", "additionalProperties": {"type": "integer"}},
-    "losses": {"type": "array", "items": {"type": "number"}},
-    "divergence": {"type": "array", "items": {"type": "number"}},
-    "counters": {"type": "object", "additionalProperties": {"type": "integer"}},
-    "timings": {"type": "object", "additionalProperties": {"type": "number"}},
-    "verdicts": {"type": "object", "additionalProperties": {"type": "boolean"}},
-}
-
-REPORT_SCHEMA_STRICT = {
-    "type": "object",
-    "properties": _PROPERTIES,
-    "required": sorted(_PROPERTIES),
-    "additionalProperties": False,
+# Every field after schema_version: its container and the JSON type of the
+# values in it.
+_FIELDS = {
+    "config": ("object", "any"),
+    "seeds": ("object", "integer"),
+    "losses": ("array", "number"),
+    "divergence": ("array", "number"),
+    "counters": ("object", "integer"),
+    "timings": ("object", "number"),
+    "verdicts": ("object", "boolean"),
 }
 
 
-# Built once: jsonschema.validate re-checks the schema against its metaschema
-# on every call, which costs ten times the validation itself.  The schema is
-# a constant, so the tests check it instead.
-_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA_STRICT)(REPORT_SCHEMA_STRICT)
+def _is_a(value, json_type: str) -> bool:
+    """JSON Schema's types: a bool is neither a number nor an integer, and a
+    whole-valued float such as 2.0 is an integer."""
+    if json_type in ("any", "boolean"):
+        return json_type == "any" or isinstance(value, bool)
+    if isinstance(value, float) and json_type == "integer":
+        return value.is_integer()
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def make_report(
@@ -64,14 +62,25 @@ def make_report(
 
 
 def validate_report(report: dict) -> None:
-    """Raise jsonschema.ValidationError when the report violates the schema.
+    """Raise ParseError naming the first field that violates the schema.
 
-    Fields outside the documented set are rejected too.  The error raised is
-    the one ``jsonschema.validate`` would raise.
+    Every field must be present and no other field is allowed.
     """
-    error = best_match(_VALIDATOR.iter_errors(report))
-    if error is not None:
-        raise error
+    if not isinstance(report, dict):
+        raise ParseError("report must be a JSON object")
+    for name in ("schema_version", *_FIELDS, *report):
+        if name not in report:
+            raise ParseError(f"report is missing field {name!r}")
+        if name != "schema_version" and name not in _FIELDS:
+            raise ParseError(f"report has unknown field {name!r}")
+    if report["schema_version"] != SCHEMA_VERSION:
+        raise ParseError(f"report field 'schema_version' must be {SCHEMA_VERSION!r}")
+    for name, (container, json_type) in _FIELDS.items():
+        value = report[name]
+        items = value.values() if isinstance(value, dict) else value
+        fits = isinstance(value, dict if container == "object" else list)
+        if not fits or not all(_is_a(item, json_type) for item in items):
+            raise ParseError(f"report field {name!r} must be an {container} of {json_type} values")
 
 
 def render_report(report: dict) -> str:

@@ -202,6 +202,17 @@ def test_verify_zero_tolerance_fails():
     assert run(["verify", "--steps", "10", "--tolerance", "0"]) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_verify_rejects_a_tolerance_below_zero_or_nan(tolerance, capsys):
+    assert run(["verify", "--steps", "5", f"--tolerance={tolerance}"]) == EXIT_USAGE
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_verify_negative_steps_names_steps(capsys):
+    assert run(["verify", "--steps", "-1"]) == EXIT_USAGE
+    assert "steps must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_fault_injection_detected(tmp_path, capsys):
     report_path = tmp_path / "fault.json"
     code = run(["verify", "--steps", "10", "--fault", "skip-category-memory",
@@ -239,6 +250,13 @@ def test_bench_zero_reps_gives_header_only(capsys):
     assert run(["bench", "--reps", "0"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert out.strip() == BENCH_CSV_HEADER
+
+
+def test_bench_rejects_negative_reps(capsys):
+    assert run(["bench", "--reps", "-1", "--categories-list", "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--reps" in captured.err
 
 
 def test_config_file_supplies_defaults_flags_win(tmp_path):

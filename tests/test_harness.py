@@ -758,6 +758,14 @@ def test_zero_tolerance_fails_verification():
     assert not outcome.passed
 
 
+@pytest.mark.parametrize(
+    "field, value", [("tolerance", math.nan), ("tolerance", -1e-12), ("steps", -1)]
+)
+def test_verify_config_rejects_bad_settings(field, value):
+    with pytest.raises(InvalidArgumentError, match=field):
+        VerifyConfig(**{field: value})
+
+
 def test_fault_hook_is_off_by_default():
     net = _aug_net()
     assert isinstance(net.encoder, AugmentedBinaryLayer)
