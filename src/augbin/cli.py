@@ -39,6 +39,7 @@ from .harness import VerifyConfig, run_verification
 from .layers import ENCODERS
 from .network import (
     Activation,
+    Batch,
     NetworkConfig,
     SgdConfig,
     build_network,
@@ -232,6 +233,8 @@ def _train_architecture(hidden: tuple[int, ...], target_width: int, encoder_kind
 
 def _cmd_train(options: dict) -> int:
     hidden = options["hidden"]
+    if not 0.0 <= options["split"] < 1.0:
+        raise InvalidArgumentError(f"--split must be in [0, 1), got {options['split']}")
     eval_examples = None
     if options["split"] > 0.0:
         dataset, eval_examples = load_csv_split(
@@ -253,7 +256,7 @@ def _cmd_train(options: dict) -> int:
     started = time.perf_counter()
     losses = run_sgd(
         network,
-        list(dataset.examples()),
+        Batch(np.array(dataset.categories, dtype=np.int64), dataset.numerics, dataset.targets),
         SgdConfig(options["lr"], options["steps"]),
         counters,
     )

@@ -110,26 +110,37 @@ def _read_rows(path):
 
 
 def _parse_table(path):
+    """Header schema, raw labels, (rows, d) numerics and (rows, 1) targets.
+
+    Python's ``float`` converts every numeric and target cell in one
+    ``np.fromiter`` pass over the rows of the right length.  Only when that
+    pass or a bulk check fails (a cell ``float`` rejects, a row of the wrong
+    length, an empty label, a non-finite value) does a second pass walk the
+    rows in order and raise the ParseError of the first bad cell.
+    """
     header, rows = _read_rows(path)
     schema = DatasetSchema.from_header(header)
     if not rows:
         raise ParseError("no data rows")
-    raw_labels: list[str] = []
-    numerics = np.zeros((len(rows), len(schema.numerics)))
-    targets = np.zeros((len(rows), 1))
-    for row_number, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, found {len(row)}", row=row_number
-            )
-        cell = row[0]
-        if not cell:
-            raise ParseError("empty category", row=row_number, column=schema.categorical)
-        raw_labels.append(cell)
-        for j, name in enumerate(schema.numerics):
-            numerics[row_number - 1, j] = _parse_float(row[j + 1], row_number, name)
-        targets[row_number - 1, 0] = _parse_float(row[-1], row_number, schema.target)
-    return schema, raw_labels, numerics, targets
+    width = len(header)
+    raw_labels = [row[0] if row else "" for row in rows]  # csv yields [] for a blank line
+    try:
+        values = np.fromiter(
+            (float(cell) for row in rows if len(row) == width for cell in row[1:]),
+            dtype=np.float64,
+            count=len(rows) * (width - 1),
+        ).reshape(len(rows), width - 1)
+    except ValueError:  # a cell that float rejects, or too few cells
+        values = None
+    if values is None or not all(raw_labels) or not np.isfinite(values).all():
+        for row_number, row in enumerate(rows, start=1):
+            if len(row) != width:
+                raise ParseError(f"expected {width} cells, found {len(row)}", row=row_number)
+            if not row[0]:
+                raise ParseError("empty category", row=row_number, column=schema.categorical)
+            for name, token in zip((*schema.numerics, schema.target), row[1:]):
+                _parse_float(token, row_number, name)
+    return schema, raw_labels, values[:, :-1], values[:, -1:]
 
 
 def load_csv(path) -> Dataset:
@@ -205,6 +216,8 @@ def synth_gen(seed: int, n_categories: int, n_numeric: int, rows: int, noise: fl
         raise InvalidArgumentError("numeric feature count must be >= 0")
     if noise < 0:
         raise InvalidArgumentError("noise must be >= 0")
+    if not math.isfinite(noise):
+        raise InvalidArgumentError(f"noise must be finite, got {noise}")
     stream = SplitMix64(seed)
     levels = symmetric_draws(stream.next_u64_block(n_categories), 1.0).tolist()
     coefficients = symmetric_draws(stream.next_u64_block(n_numeric), 1.0).tolist()

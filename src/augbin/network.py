@@ -346,13 +346,18 @@ class SgdConfig:
     def __post_init__(self):
         if not self.learning_rate > 0.0:
             raise InvalidArgumentError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidArgumentError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.steps < 0:
             raise InvalidArgumentError("steps must be >= 0")
 
 
 @dataclass(frozen=True)
 class Batch:
-    """Examples stacked once for :func:`mean_loss`: B categories, (B, d) numerics, (B, w) targets."""
+    """Examples stacked once for :func:`mean_loss` and :func:`run_sgd`.
+
+    B categories, (B, d) numerics, (B, w) targets.
+    """
 
     categories: np.ndarray
     numerics: np.ndarray
@@ -415,20 +420,16 @@ def run_sgd(
 ) -> list[float]:
     """Train by cycling through examples in order for config.steps steps.
 
-    Returns the mean dataset loss before training and after every step
-    (length steps + 1).  The examples are stacked into one :class:`Batch` up
-    front, so each of those evaluations is one batched pass.
+    ``examples`` is a :class:`Batch` or an iterable of (category, numerics,
+    target) triples, which is stacked into one.  Step ``s`` trains on row
+    ``s % B`` of the batch.  Returns the mean batch loss before training and
+    after every step (length steps + 1), each one batched pass.
     """
-    examples = [
-        (int(c), np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64))
-        for c, x, t in examples
-    ]
-    if not examples:
-        raise InvalidArgumentError("no examples")
-    batch = stack_examples(examples)
+    batch = examples if isinstance(examples, Batch) else stack_examples(examples)
     losses = [mean_loss(network, batch)]
     for step in range(config.steps):
-        category, numerics, target = examples[step % len(examples)]
-        network.sgd_step(category, numerics, target, config.learning_rate, counters)
+        row = step % len(batch.categories)
+        network.sgd_step(int(batch.categories[row]), batch.numerics[row], batch.targets[row],
+                         config.learning_rate, counters)
         losses.append(mean_loss(network, batch))
     return losses

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import augbin.data
+import augbin.network
 from augbin import read_report, validate_report
 from augbin.cli import (
     BENCH_CSV_HEADER,
@@ -161,6 +163,59 @@ def test_train_data_not_utf8_is_a_data_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"category,x1,target\n\xe9t\xe9,0.5,1.0\n")
     assert run(["train", "--data", str(path), "--encoding", "onehot"]) == EXIT_DATA
+
+
+def test_train_reports_a_blank_data_line_as_a_data_error(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("category,x1,target\na,0.5,1.0\n\nb,0.25,2.0\n")
+    assert run(["train", "--data", str(path), "--encoding", "onehot"]) == EXIT_DATA
+    assert capsys.readouterr().err == "augbin: expected 3 cells, found 0 (data row 2)\n"
+
+
+def test_train_hands_run_sgd_the_dataset_arrays(dataset_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(augbin.network, "stack_examples")
+    counting(augbin.data.Dataset, "examples")
+    assert run(["train", "--data", str(dataset_path), "--encoding", "augmented",
+                "--hidden", "4", "--steps", "3"]) == EXIT_PASS
+    assert len(json.loads(capsys.readouterr().out)["losses"]) == 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("split", ["-0.5", "nan", "1.0", "inf"])
+def test_train_rejects_a_split_outside_0_to_1_before_reading(split, capsys):
+    code = run(["train", "--data", "no-such.csv", "--encoding", "onehot", "--split", split])
+    assert code == EXIT_USAGE
+    assert "--split" in capsys.readouterr().err
+
+
+def test_train_split_zero_means_no_split(dataset_path, capsys):
+    assert run(["train", "--data", str(dataset_path), "--encoding", "onehot",
+                "--steps", "2", "--split", "0"]) == EXIT_PASS
+    assert "held-out" not in capsys.readouterr().out
+
+
+def test_train_rejects_an_infinite_learning_rate_by_name(dataset_path, capsys):
+    assert run(["train", "--data", str(dataset_path), "--encoding", "onehot",
+                "--lr", "inf", "--steps", "1"]) == EXIT_USAGE
+    assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_gen_rejects_non_finite_noise_by_name(noise, tmp_path, capsys):
+    code = run(["gen", "--noise", noise, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    assert "noise" in capsys.readouterr().err
 
 
 def test_train_split_vocab_miss(tmp_path):

@@ -1,10 +1,15 @@
 """Dataset loading, synthesis, and split tests."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import augbin.data
 from augbin import (
     Dataset,
     DatasetSchema,
@@ -19,7 +24,87 @@ from augbin import (
     split_rows,
     synth_gen,
 )
-from augbin.data import category_label
+from augbin.data import _parse_float, _parse_table, _read_rows, category_label
+
+
+def scalar_parse_table(path):
+    """Reference oracle for ``_parse_table``: one ``_parse_float`` and one store per cell."""
+    header, rows = _read_rows(path)
+    schema = DatasetSchema.from_header(header)
+    if not rows:
+        raise ParseError("no data rows")
+    raw_labels: list[str] = []
+    numerics = np.zeros((len(rows), len(schema.numerics)))
+    targets = np.zeros((len(rows), 1))
+    for row_number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} cells, found {len(row)}", row=row_number
+            )
+        cell = row[0]
+        if not cell:
+            raise ParseError("empty category", row=row_number, column=schema.categorical)
+        raw_labels.append(cell)
+        for j, name in enumerate(schema.numerics):
+            numerics[row_number - 1, j] = _parse_float(row[j + 1], row_number, name)
+        targets[row_number - 1, 0] = _parse_float(row[-1], row_number, schema.target)
+    return schema, raw_labels, numerics, targets
+
+
+_LABELS = st.sampled_from(["a", "b", "with, comma", "\u00fc", " c "])
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0.0", "1e308", "-1e308", "1_000", " 2.5", "2.5 ", "+4", ".5", "5.",
+                     "1E-5", "5e-324", "0.1", "1.7976931348623157e308"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_BAD_NUMBERS = st.sampled_from(["oops", "", "1,5", "1..2", "0x10", "1e", "--1", "1 2"])
+_NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e309"])
+_FAULTS = ("blank", "short", "long", "empty category", "unparsable", "non-finite")
+
+
+def _csv_text(n_numeric, rows):
+    handle = io.StringIO()
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["category", *(f"x{j}" for j in range(1, n_numeric + 1)), "target"])
+    writer.writerows(rows)
+    return handle.getvalue()
+
+
+@st.composite
+def _valid_row(draw, n_numeric):
+    return [draw(_LABELS), *(draw(_NUMBERS) for _ in range(n_numeric + 1))]
+
+
+@st.composite
+def _faulty_row(draw, n_numeric):
+    """A row with one fault; its other cells are valid."""
+    row = draw(_valid_row(n_numeric))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "blank":
+        return []
+    if fault == "short":
+        return row[: draw(st.integers(1, len(row) - 1))]
+    if fault == "long":
+        return row + [draw(_NUMBERS) for _ in range(draw(st.integers(1, 2)))]
+    if fault == "empty category":
+        row[0] = ""
+        return row
+    row[draw(st.integers(1, len(row) - 1))] = draw(_BAD_NUMBERS if fault == "unparsable" else _NON_FINITE)
+    return row
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "data.csv"
+
+
+def _parse_outcome(parse, path):
+    """What ``parse`` returns, as comparable bytes, or its ParseError's text, row and column."""
+    try:
+        schema, labels, numerics, targets = parse(path)
+    except ParseError as err:
+        return ("error", str(err), err.row, err.column)
+    return ("ok", schema, labels, numerics.shape, numerics.tobytes(), targets.shape, targets.tobytes())
 
 
 def test_synth_gen_is_deterministic():
@@ -63,6 +148,12 @@ def test_synth_gen_validates_arguments():
         synth_gen(0, 3, -1, 10)
     with pytest.raises(InvalidArgumentError):
         synth_gen(0, 3, 1, 10, noise=-0.5)
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf])
+def test_synth_gen_rejects_non_finite_noise_by_name(noise):
+    with pytest.raises(InvalidArgumentError, match="noise must be finite"):
+        synth_gen(0, 3, 1, 10, noise=noise)
 
 
 def test_save_load_roundtrip_preserves_exact_values(tmp_path):
@@ -147,6 +238,70 @@ def test_load_csv_rejects_empty_category(tmp_path):
     path.write_text("category,x1,target\n,0.5,1.0\n")
     with pytest.raises(ParseError):
         load_csv(path)
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(_valid_row(d), min_size=1, max_size=6))))
+@settings(max_examples=300, deadline=None)
+def test_parse_table_equals_the_scalar_oracle_on_valid_files(csv_file, case):
+    n_numeric, rows = case
+    csv_file.write_text(_csv_text(n_numeric, rows), encoding="utf-8")
+    outcome = _parse_outcome(_parse_table, csv_file)
+    assert outcome[0] == "ok"
+    assert outcome == _parse_outcome(scalar_parse_table, csv_file)
+
+
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.one_of(_valid_row(d), _faulty_row(d)), min_size=1, max_size=6))))
+@settings(max_examples=500, deadline=None)
+def test_parse_table_raises_what_the_scalar_oracle_raises(csv_file, case):
+    n_numeric, rows = case
+    csv_file.write_text(_csv_text(n_numeric, rows), encoding="utf-8")
+    assert _parse_outcome(_parse_table, csv_file) == _parse_outcome(scalar_parse_table, csv_file)
+
+
+_FAULT_ROWS = {
+    "blank": [],
+    "short": ["b", "0.5"],
+    "long": ["b", "0.5", "1.0", "2.0"],
+    "empty category": ["", "0.5", "1.0"],
+    "unparsable": ["b", "oops", "1.0"],
+    "nan": ["b", "0.5", "nan"],
+    "inf": ["b", "inf", "1.0"],
+}
+
+
+@pytest.mark.parametrize("first", sorted(_FAULT_ROWS))
+@pytest.mark.parametrize("second", ["blank", "empty category", "unparsable", "inf"])
+def test_parse_table_reports_the_first_of_two_faulty_rows(first, second, csv_file):
+    rows = [["a", "0.5", "1.0"], _FAULT_ROWS[first], ["c", "0.25", "2.0"], _FAULT_ROWS[second]]
+    csv_file.write_text(_csv_text(1, rows), encoding="utf-8")
+    outcome = _parse_outcome(_parse_table, csv_file)
+    assert outcome[0] == "error"
+    assert outcome[2] == 2
+    assert outcome == _parse_outcome(scalar_parse_table, csv_file)
+
+
+def test_parse_table_calls_float_once_per_cell_on_a_valid_file(monkeypatch, tmp_path):
+    calls = []
+
+    def counting_float(token):
+        calls.append(token)
+        return float(token)
+
+    def no_parse_float(*args):
+        raise AssertionError("_parse_float is the error path only")
+
+    path = tmp_path / "valid.csv"
+    save_csv(synth_gen(4, 5, 2, 30), path)
+    expected = scalar_parse_table(path)
+    monkeypatch.setattr(augbin.data, "float", counting_float, raising=False)
+    monkeypatch.setattr(augbin.data, "_parse_float", no_parse_float)
+    schema, labels, numerics, targets = _parse_table(path)
+    assert len(calls) == 30 * 3
+    assert (schema, labels) == expected[:2]
+    assert numerics.tobytes() == expected[2].tobytes()
+    assert targets.tobytes() == expected[3].tobytes()
 
 
 def test_quoted_labels_with_commas_survive_roundtrip(tmp_path):

@@ -27,6 +27,7 @@ from augbin import (
     synthetic_stream,
 )
 from augbin.gradcheck import analytic_gradients
+from augbin.network import Batch
 from augbin.layers import ENCODERS
 
 
@@ -219,6 +220,26 @@ def test_run_sgd_tracks_mean_loss_per_step():
     assert [loss.hex() for loss in losses] == [loss.hex() for loss in expected]
 
 
+@pytest.mark.parametrize("kind, folded", [("onehot", False), ("binary", False), ("augmented", False), ("augmented", True)])
+def test_run_sgd_on_a_batch_equals_run_sgd_on_its_triples(kind, folded):
+    stream = SplitMix64(21)
+    rows = 7
+    categories = np.array([stream.next_below(6) + 1 for _ in range(rows)], dtype=np.int64)
+    numerics = np.array([[stream.next_symmetric(1.0) for _ in range(2)] for _ in range(rows)])
+    targets = np.array([[stream.next_symmetric(1.0)] for _ in range(rows)])
+    triples = [(int(c), x, t) for c, x, t in zip(categories, numerics, targets)]
+    nets, counters, losses = [], [], []
+    for examples in (Batch(categories, numerics, targets), triples):
+        net = build_network(_config(kind, seed=4, hidden=(3, 1)))
+        net.folded_forward = folded
+        counters.append(OpCounters())
+        losses.append([loss.hex() for loss in run_sgd(net, examples, SgdConfig(0.2, 17), counters[-1])])
+        nets.append(net)
+    assert losses[0] == losses[1]
+    assert counters[0] == counters[1]
+    assert _param_bytes(nets[0]) == _param_bytes(nets[1])
+
+
 def test_run_sgd_calls_mean_loss_by_module_name(monkeypatch):
     # perfbench/spans.py traces evaluation by patching these two names.
     calls = []
@@ -269,6 +290,12 @@ def test_sgd_config_validation():
         SgdConfig(0.0, 10)
     with pytest.raises(InvalidArgumentError):
         SgdConfig(0.1, -1)
+
+
+@pytest.mark.parametrize("learning_rate", [np.inf, np.nan])
+def test_sgd_config_rejects_a_learning_rate_that_is_not_finite(learning_rate):
+    with pytest.raises(InvalidArgumentError, match="learning_rate"):
+        SgdConfig(learning_rate, 10)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
