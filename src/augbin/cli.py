@@ -208,25 +208,14 @@ def _cmd_gen(options: dict) -> int:
 
 def _train_architecture(hidden: tuple[int, ...], target_width: int, encoder_kind: str,
                         n_categories: int, n_numeric: int, seed: int) -> NetworkConfig:
-    if hidden:
-        return NetworkConfig(
-            encoder_kind=encoder_kind,
-            n_categories=n_categories,
-            n_numeric=n_numeric,
-            k=hidden[0],
-            hidden=(*hidden[1:], target_width),
-            encoder_activation=Activation.SIGMOID,
-            hidden_activation=Activation.SIGMOID,
-            output_activation=Activation.IDENTITY,
-            seed=seed,
-        )
+    k, *widths = (*hidden, target_width)
     return NetworkConfig(
         encoder_kind=encoder_kind,
         n_categories=n_categories,
         n_numeric=n_numeric,
-        k=target_width,
-        hidden=(),
-        encoder_activation=Activation.IDENTITY,
+        k=k,
+        hidden=tuple(widths),
+        encoder_activation=Activation.SIGMOID if hidden else Activation.IDENTITY,
         seed=seed,
     )
 

@@ -64,9 +64,13 @@ class Dataset:
         rows = len(self.categories)
         if self.numerics.shape[0] != rows or self.targets.shape[0] != rows:
             raise InvalidArgumentError("row counts disagree across dataset fields")
-        for category in self.categories:
-            if not 1 <= category <= self.vocab.size:
-                raise InvalidArgumentError(f"category id {category} outside vocabulary")
+        width = len(self.schema.numerics)
+        if self.numerics.shape[1:] != (width,):
+            raise InvalidArgumentError(f"numerics of shape {self.numerics.shape} for {width} schema numeric columns")
+        ids = np.asarray(self.categories)
+        bad = (ids < 1) | (ids > self.vocab.size)
+        if bad.any():
+            raise InvalidArgumentError(f"category id {ids[bad][0]} outside vocabulary")
         if not np.all(np.isfinite(self.numerics)) or not np.all(np.isfinite(self.targets)):
             raise InvalidArgumentError("dataset contains non-finite values")
 
@@ -182,6 +186,8 @@ def _render_float(value: float) -> str:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset back to CSV; a reload reproduces the exact values."""
+    if dataset.target_width != 1:
+        raise InvalidArgumentError(f"a CSV holds one target column, the dataset has {dataset.target_width}")
     schema = dataset.schema
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL)

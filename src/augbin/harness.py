@@ -265,11 +265,11 @@ def brute_force_check(
     memory row and bit-memory columns.  These are the subtractions, in the
     same order, of a replay of the whole history from the initial values,
     and like it they use nothing of the layer's code but the step vectors.
-    It then recomputes every effective contribution by direct summation and
-    compares the matrices and contributions with the live layer within
-    ``tolerance``.  ``corrupt_at`` = (step, category, neuron) injects
-    a deliberate memory corruption after that step, for testing the check
-    itself.
+    It then sums every category's contribution in the scalar order and
+    compares the (N, K) result, then the matrices, with the live layer
+    within ``tolerance``; a failure names the first bad entry, row-major.
+    ``corrupt_at`` = (step, category, neuron) injects a deliberate memory
+    corruption after that step, for testing the check itself.
     """
     if not (1 <= n_categories <= 8 and 1 <= k <= 4 and 0 <= steps <= 50):
         raise InvalidArgumentError("replay check is bounded to N <= 8, K <= 4, steps <= 50")
@@ -289,6 +289,7 @@ def brute_force_check(
     catmem_replay = encoder.cat_memory.copy()
     bitmem_replay = encoder.bit_memory.copy()
     positions = {c: encode(c, width).positions for c in range(1, n_categories + 1)}
+    bits = bit_matrix(np.arange(1, n_categories + 1), width)
 
     categories, targets = _draw_examples(seed + 1, n_categories, steps, k)
     max_err = 0.0
@@ -303,20 +304,18 @@ def brute_force_check(
             bitmem_replay[:, i - 1] -= delta
         catmem_replay[category - 1] -= delta
 
-        for c in range(1, n_categories + 1):
-            expected = np.zeros(k)
-            for i in positions[c]:
-                expected += bits_replay[i - 1]
-            expected += catmem_replay[c - 1]
-            for i in positions[c]:
-                expected -= bitmem_replay[:, i - 1]
-            errs = np.abs(encoder.effective_contribution(c) - expected)
-            failing = np.flatnonzero(~(errs <= tolerance))  # a NaN error fails
-            if failing.size:
-                neuron = int(failing[0])
-                max_err = _worst([max_err, *errs[: neuron + 1]])
-                return ReplayReport(False, steps, max_err, (step, c, neuron))
-            max_err = _worst([max_err, *errs])
+        # Every category's sum in the scalar order; masked adds skip the zero bits.
+        expected = np.zeros((n_categories, k))
+        for i in range(width):
+            np.add(expected, bits_replay[i], out=expected, where=bits[:, i, None])
+        expected += catmem_replay
+        for i in range(width):
+            np.subtract(expected, bitmem_replay[:, i], out=expected, where=bits[:, i, None])
+        errs = np.abs(contributions_matrix(encoder) - expected).ravel()
+        failing = np.flatnonzero(~(errs <= tolerance))  # a NaN error fails
+        if failing.size:  # every earlier error passed, so this one is the largest (or NaN)
+            first = int(failing[0])
+            return ReplayReport(False, steps, float(errs[first]), (step, first // k + 1, first % k))
         matrix_err = _worst(
             [
                 _worst(np.abs(encoder.bit_weights - bits_replay)),
@@ -324,7 +323,7 @@ def brute_force_check(
                 _worst(np.abs(encoder.bit_memory - bitmem_replay)),
             ]
         )
-        max_err = _worst([max_err, matrix_err])
+        max_err = _worst([max_err, _worst(errs), matrix_err])
         if not matrix_err <= tolerance:
             return ReplayReport(False, steps, max_err, (step, 0, 0))
     return ReplayReport(True, steps, max_err, None)

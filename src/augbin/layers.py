@@ -5,8 +5,8 @@ Every encoder derives from :class:`Encoder` and keeps one contract:
     forward(category, numerics, counters=None)       -> pre-activation (K,)
     forward_batch(categories, numerics)               -> (B, K), row r == forward(...)
     apply_update(category, numerics, delta, counters=None)
-    effective_contribution(category)                  -> (K,)
     all_contributions()                               -> (N, K), row c-1 == effective_contribution(c)
+    effective_contribution(category)                  -> (K,), reference for all_contributions
 
 The three encoders differ only in how they build the category term: one-hot
 reads one weight row per category, binary sums one weight row per one-bit of
@@ -32,11 +32,14 @@ Re-using the identical float for the bit-weight, category-memory, and
 bit-memory updates is what makes their cancellation exact to working
 precision.
 
-``effective_contribution`` returns the category-dependent part of the
+A category's effective contribution is the category-dependent part of the
 pre-activation (everything except the numeric-feature terms and the shared
 bias); category isolation is stated and tested on this quantity, not on raw
 weights, because bit-weight entries legitimately change for overlapping
-categories while the forward-pass value does not.
+categories while the forward-pass value does not.  The package reads it only
+through :func:`contributions_matrix`; ``effective_contribution`` is the
+per-category reference that ``all_contributions`` must equal bit for bit,
+and only the tests call it.
 
 Evaluation order is normative and load-bearing for cross-implementation
 equality, and each ``forward`` spells it out: categorical terms in ascending

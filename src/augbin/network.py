@@ -398,6 +398,8 @@ def mean_loss(network: Network, examples) -> float:
     to right, as the one-row-at-a-time loop does.
     """
     batch = examples if isinstance(examples, Batch) else stack_examples(examples)
+    if not len(batch.categories):
+        raise InvalidArgumentError("no examples")
     outputs = network.predict_batch(batch.categories, batch.numerics)
     if outputs.shape != batch.targets.shape:
         raise InvalidArgumentError("output and target shapes differ")

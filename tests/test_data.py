@@ -390,6 +390,26 @@ def test_dataset_validates_ids_and_finiteness():
     with pytest.raises(InvalidArgumentError):
         Dataset(vocab=vocab, categories=[1], numerics=np.zeros((1, 0)),
                 targets=np.array([[np.inf]]), schema=schema)
+    with pytest.raises(InvalidArgumentError, match=r"^category id 3 outside vocabulary$"):  # first in row order
+        Dataset(vocab=vocab, categories=[1, 3, 0, 2], numerics=np.zeros((4, 0)),
+                targets=np.zeros((4, 1)), schema=schema)
+
+
+def test_dataset_rejects_a_schema_that_disagrees_with_its_numerics():
+    schema = DatasetSchema(categorical="category", numerics=("x",), target="target")
+    with pytest.raises(InvalidArgumentError, match="numeric columns"):
+        Dataset(vocab=build_vocab(["a"]), categories=[1], numerics=np.zeros((1, 0)),
+                targets=np.zeros((1, 1)), schema=schema)
+
+
+def test_save_csv_rejects_more_than_one_target_column(tmp_path):
+    schema = DatasetSchema(categorical="category", numerics=(), target="target")
+    dataset = Dataset(vocab=build_vocab(["a"]), categories=[1], numerics=np.zeros((1, 0)),
+                      targets=np.zeros((1, 2)), schema=schema)
+    path = tmp_path / "two_targets.csv"
+    with pytest.raises(InvalidArgumentError, match="one target column"):
+        save_csv(dataset, path)
+    assert not path.exists()
 
 
 def test_schema_rejects_duplicate_columns():

@@ -576,13 +576,14 @@ def test_replay_detects_injected_corruption():
 
 
 def test_replay_fails_on_a_nan_contribution(monkeypatch):
-    real = AugmentedBinaryLayer.effective_contribution
+    real = AugmentedBinaryLayer.all_contributions
 
-    def nan_for_category_3(self, category):
-        out = real(self, category)
-        return np.full_like(out, np.nan) if category == 3 else out
+    def nan_for_category_3(self):
+        out = real(self)
+        out[2] = np.nan
+        return out
 
-    monkeypatch.setattr(AugmentedBinaryLayer, "effective_contribution", nan_for_category_3)
+    monkeypatch.setattr(AugmentedBinaryLayer, "all_contributions", nan_for_category_3)
     report = brute_force_check(8, 4, 50, 0)
     assert not report.passed
     assert report.first_failure == (0, 3, 0)
@@ -713,12 +714,13 @@ def test_run_verification_passes_at_65536_categories():
 
 def test_run_verification_reuses_each_probe_after_matrix(monkeypatch):
     # 5 isolation and 5 control probes: one "before" build per loop and one
-    # "after" build per probe, plus the two twins and the lockstep row distance.
+    # "after" build per probe, plus the two twins and the lockstep row distance,
+    # plus one build per step of the 50-step brute-force replay.
     calls = []
     real = augbin.harness.contributions_matrix
     monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e: calls.append(e) or real(e))
     run_verification(_SMALL_VERIFY)
-    assert len(calls) == 3 + 2 * (1 + 5)
+    assert len(calls) == 3 + 2 * (1 + 5) + 50
 
 
 def test_run_verification_lockstep_makes_two_forwards_per_step(monkeypatch):

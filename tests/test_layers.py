@@ -1,5 +1,8 @@
 """Encoder layer tests: forward values, update rules, isolation algebra."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,6 +403,21 @@ def test_traced_methods_are_defined_on_each_encoder_class(cls):
     # a method inherited from a base would be missed without an error.
     for method in ("forward", "apply_update", "effective_contribution"):
         assert method in cls.__dict__, f"{cls.__name__}.{method} is inherited"
+
+
+def test_package_code_never_calls_effective_contribution():
+    # The per-category method is the reference that all_contributions must
+    # equal; the package reads contributions only through contributions_matrix.
+    package = Path(__file__).resolve().parents[1] / "src" / "augbin"
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "effective_contribution"
+    ]
+    assert calls == []
 
 
 def test_registry_keys_match_kinds():

@@ -285,6 +285,16 @@ def test_run_sgd_rejects_empty_examples():
         run_sgd(net, [], SgdConfig(0.1, 1))
 
 
+@pytest.mark.parametrize("form", ["triples", "batch"])
+def test_mean_loss_and_run_sgd_reject_no_examples(form):
+    net = build_network(_config())
+    empty = [] if form == "triples" else Batch(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 1)))
+    with pytest.raises(InvalidArgumentError, match="no examples"):
+        mean_loss(net, empty)
+    with pytest.raises(InvalidArgumentError, match="no examples"):
+        run_sgd(net, empty, SgdConfig(0.1, 3))
+
+
 def test_sgd_config_validation():
     with pytest.raises(InvalidArgumentError):
         SgdConfig(0.0, 10)
