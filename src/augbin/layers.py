@@ -18,8 +18,9 @@ The base owns what the three share: input validation, ``k``,
 ``n_numeric``, the named parameter arrays (``params``) and their count,
 the numeric terms of the forward pass, and the numeric-then-bias update.
 ``_BitEncoder`` adds what binary and augmented share: the bit width, the
-one-bit rows of a category, the batched bit-row sum, the table of every
-category's bit-row sum, and the seeded draws of a fresh layer.  A concrete
+one-bit rows of a category, the distinct categories of a batch and their
+bits, the batched bit-row sum, the table of every category's bit-row sum,
+and the seeded draws of a fresh layer.  A concrete
 encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
 of its own categorical arrays, and defines ``forward``, ``apply_update``,
@@ -59,17 +60,22 @@ by fancy indexing; the one-bit rows are distinct, so each entry still gets
 one subtraction.
 
 ``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
-evaluates B rows at once for loss evaluation, and ``all_contributions``
-evaluates every category's contribution at once for the harness, building
-the bit-row sums of categories 0..N by doubling.  Both keep that order for
-every row, adding a bit's row only where the bit is set, so each row equals
-the per-example method bit for bit.  They count no operations: the counters
-describe training steps.  The per-example methods
-stay the training path.
+evaluates B rows at once for loss evaluation.  What depends on the category
+alone, the bit-row sums and the folded path's adjusted bias, it builds once
+per distinct category of the batch (U <= min(B, N) rows) and gathers to the
+B rows.  Its bit-memory pass gathers one row per bit for every row, and a
+zero bit picks a +0.0 pad row, whose subtraction leaves the row exactly as
+it was.  ``all_contributions`` evaluates every category's contribution at
+once for the harness, building the bit-row sums of categories 0..N by
+doubling.  Both keep that order for every row, applying a bit's row only
+where the bit is set, so each row equals the per-example method bit for
+bit.  They count no operations: the counters describe training steps.  The
+per-example methods stay the training path.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -96,6 +102,16 @@ def _as_vector(value, length, name) -> np.ndarray:
     if arr.shape != (length,):
         raise InvalidArgumentError(f"{name} must have shape {(length,)}, got {arr.shape}")
     return arr
+
+
+def category_index(category) -> int:
+    """A category id as a Python int: any Python or numpy integer; a bool, float or string is refused, not truncated."""
+    if not isinstance(category, bool):  # numpy's bool_ has no __index__, Python's bool is an int
+        try:
+            return operator.index(category)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"category must be an integer, got {category!r}")
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -141,7 +157,7 @@ class Encoder:
         return sum(arr.size for _, arr in self.params())
 
     def _check_category(self, category: int) -> None:
-        if not 1 <= int(category) <= self.n_categories:
+        if not 1 <= category_index(category) <= self.n_categories:
             raise RangeError(f"category {category} out of 1..{self.n_categories}")
 
     def _check_example(self, category: int, numerics) -> np.ndarray:
@@ -153,13 +169,19 @@ class Encoder:
         return x
 
     def _check_batch(self, categories, numerics) -> tuple[np.ndarray, np.ndarray]:
-        """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics."""
-        ids = np.asarray(categories, dtype=np.int64)
+        """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics.
+
+        The ids must be integers: a float, bool or string array is refused, not truncated.
+        """
+        ids = np.asarray(categories)
         if ids.ndim != 1:
             raise InvalidArgumentError(f"categories must be 1-d, got shape {ids.shape}")
+        if ids.size and ids.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"categories must be integers, got dtype {ids.dtype}")
         bad = (ids < 1) | (ids > self.n_categories)
         if bad.any():
             raise RangeError(f"category {ids[bad][0]} out of 1..{self.n_categories}")
+        ids = ids.astype(np.int64, copy=False)  # after the range check, so no uint64 id wraps
         x = np.asarray(numerics, dtype=np.float64)
         if x.shape != (ids.shape[0], self.n_numeric):
             raise InvalidArgumentError(
@@ -292,10 +314,21 @@ class _BitEncoder(Encoder):
             np.add(table[: high - low], self.bit_weights[h], out=table[low:high])
         return table
 
-    def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Categorical term of B rows: each adds the weight rows of its one-bits, ascending.
+    def _distinct_bits(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batch's U distinct categories, each row's index among them, and their (U, width) bits.
 
-        A masked add skips the zero bits, as the scalar loop does; multiplying
+        Work that depends on the category alone runs on these U <= min(B, N)
+        rows; ``np.take(..., inverse, axis=0)`` gathers it to the B rows.
+        """
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        return distinct, inverse, bit_matrix(distinct, self.width)
+
+    def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Categorical term of each row of ``bits``: it adds the weight rows of its one-bits, ascending.
+
+        The batched forwards pass the bits of the distinct categories, so each
+        sum is built once per category and then gathered to the B rows.  A
+        masked add skips the zero bits, as the scalar loop does; multiplying
         by the 0/1 bit would turn an infinite weight into NaN.
         """
         z = np.zeros((bits.shape[0], self.k))
@@ -335,7 +368,8 @@ class BinaryLayer(_BitEncoder):
     def forward_batch(self, categories, numerics) -> np.ndarray:
         """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
         ids, x = self._check_batch(categories, numerics)
-        z = self._bit_sum_batch(bit_matrix(ids, self.width))
+        _, inverse, bits = self._distinct_bits(ids)
+        z = np.take(self._bit_sum_batch(bits), inverse, axis=0)
         return self._add_numerics_and_bias_batch(z, x, self.bias)
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
@@ -400,11 +434,23 @@ class AugmentedBinaryLayer(_BitEncoder):
         """The category's memory row (1, K), then the negated memory of each one-bit (ones, K)."""
         return self.cat_memory[category - 1 : category], -self.bit_memory[:, rows].T
 
-    def _add_memories_batch(self, z: np.ndarray, ids: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """Add each row's category memory, then subtract its one-bits' memories, ascending."""
-        z += self.cat_memory[ids - 1]
+    def _memory_rows(self, bits: np.ndarray) -> np.ndarray:
+        """(width, U) rows for :meth:`_add_memories_batch`: i where bit i is set, ``width`` where it is not."""
+        return np.where(bits.T, np.arange(self.width)[:, None], self.width)
+
+    def _add_memories_batch(self, z: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Add each row's category memory, then subtract its one-bits' memories, ascending.
+
+        Bit i subtracts row ``rows[i]`` of ``bit_memory.T`` with a +0.0 pad row
+        stacked under it: its memory where the bit is set, the pad row where it
+        is not.  ``z - (+0.0)`` is ``z`` exactly, for +-0.0, +-inf and NaN
+        alike, so each row equals the scalar loop that skips its zero bits.
+        One bit is gathered at a time, so no (width, B, K) stack is built.
+        """
+        z += np.take(self.cat_memory, ids - 1, axis=0)
+        table = np.vstack((self.bit_memory.T, np.zeros((1, self.k))))
         for i in range(self.width):
-            np.subtract(z, self.bit_memory[:, i], out=z, where=bits[:, i, None])
+            z -= np.take(table, rows[i], axis=0)
         return z
 
     def _count_forward(self, counters: OpCounters | None, ones: int) -> None:
@@ -438,16 +484,22 @@ class AugmentedBinaryLayer(_BitEncoder):
     def forward_batch(self, categories, numerics) -> np.ndarray:
         """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
         ids, x = self._check_batch(categories, numerics)
-        bits = bit_matrix(ids, self.width)
-        z = self._add_numerics_and_bias_batch(self._bit_sum_batch(bits), x, self.bias)
-        return self._add_memories_batch(z, ids, bits)
+        _, inverse, bits = self._distinct_bits(ids)
+        z = self._add_numerics_and_bias_batch(np.take(self._bit_sum_batch(bits), inverse, axis=0), x, self.bias)
+        return self._add_memories_batch(z, ids, self._memory_rows(bits)[:, inverse])
 
     def forward_batch_folded(self, categories, numerics) -> np.ndarray:
-        """:meth:`forward_folded` of B rows at once, bit for bit."""
+        """:meth:`forward_folded` of B rows at once, bit for bit.
+
+        The adjusted bias depends on the category alone, so it is built once
+        per distinct category and gathered, as the bit sums are.
+        """
         ids, x = self._check_batch(categories, numerics)
-        bits = bit_matrix(ids, self.width)
-        adjusted = self._add_memories_batch(np.tile(self.bias, (ids.shape[0], 1)), ids, bits)
-        return self._add_numerics_and_bias_batch(self._bit_sum_batch(bits), x, adjusted)
+        distinct, inverse, bits = self._distinct_bits(ids)
+        adjusted = np.tile(self.bias, (distinct.shape[0], 1))
+        adjusted = self._add_memories_batch(adjusted, distinct, self._memory_rows(bits))
+        z = np.take(self._bit_sum_batch(bits), inverse, axis=0)
+        return self._add_numerics_and_bias_batch(z, x, np.take(adjusted, inverse, axis=0))
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         """Subtract the same delta from bit rows, category memory, bit memory.

@@ -42,7 +42,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import ENCODERS, AugmentedBinaryLayer, Encoder, ordered_sum
+from .layers import ENCODERS, AugmentedBinaryLayer, Encoder, category_index, ordered_sum
 from .rng import SplitMix64
 
 
@@ -383,7 +383,7 @@ def stack_examples(examples) -> Batch:
         raise InvalidArgumentError("no examples")
     categories, numerics, targets = zip(*examples)
     return Batch(
-        np.array([int(c) for c in categories], dtype=np.int64),
+        np.array([category_index(c) for c in categories], dtype=np.int64),
         _stack_rows(numerics, "numerics"),
         _stack_rows(targets, "targets"),
     )

@@ -1,6 +1,7 @@
 """Encoder layer tests: forward values, update rules, isolation algebra."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from augbin import (
     OpCounters,
     RangeError,
     SplitMix64,
+    bit_matrix,
     bit_width,
     build_network,
     contributions_matrix,
@@ -27,6 +29,7 @@ from augbin import (
     expected_counts,
 )
 from augbin.layers import ENCODERS
+from augbin.rng import below_draws
 
 
 def scalar_contributions_matrix(encoder):
@@ -429,3 +432,83 @@ def test_params_lists_array_fields_in_order():
     names = [name for name, _ in _augmented_fixture().params()]
     assert names == ["bit_weights", "num_weights", "bias", "cat_memory", "bit_memory"]
     assert [name for name, _ in _binary_fixture().params()] == ["bit_weights", "num_weights", "bias"]
+
+
+def _filled_bit_layer(kind, n_categories, k=3, n_numeric=2, seed=0):
+    """A bit encoder whose every parameter, memories included, is a non-zero draw."""
+    layer = ENCODERS[kind].fresh(n_categories, n_numeric, k, SplitMix64(seed))
+    stream = SplitMix64(seed + 1)
+    for _, array in layer.params():
+        array[...] = stream.symmetric_array(array.shape, 1.0)
+    return layer
+
+
+def _edge_ids(n_categories):
+    """1, N and every 2**n - 1 up to N, unsorted, with N twice."""
+    lows = [(1 << n) - 1 for n in range(1, n_categories.bit_length() + 1) if (1 << n) - 1 <= n_categories]
+    return [n_categories, *reversed(lows), 1, n_categories]
+
+
+_BATCHES = {
+    "duplicates dominate": (5, below_draws(SplitMix64(7).next_u64_block(300), 5) + 1),
+    "distinct and unsorted": (37, np.arange(37) * 10 % 37 + 1),
+    "single row": (11, [7]),
+    **{f"N={n}": (n, _edge_ids(n)) for n in (1, 2, 255, 256, 65536)},
+}
+
+
+@pytest.mark.parametrize("batch", tuple(_BATCHES))
+@pytest.mark.parametrize("kind, folded", [("binary", False), ("augmented", False), ("augmented", True)])
+def test_forward_batch_rows_equal_forward_bit_for_bit(kind, folded, batch):
+    n_categories, ids = _BATCHES[batch]
+    layer = _filled_bit_layer(kind, n_categories)
+    x = SplitMix64(3).symmetric_array((len(ids), layer.n_numeric), 2.0)
+    batched, single = (
+        (layer.forward_batch_folded, layer.forward_folded) if folded else (layer.forward_batch, layer.forward)
+    )
+    z = batched(ids, x)
+    assert z.shape == (len(ids), layer.k)
+    for row, category in enumerate(ids):
+        assert z[row].tobytes() == single(int(category), x[row]).tobytes()
+
+
+def test_memory_pass_keeps_negative_zero_rows_through_the_pad_row():
+    # Every forward sum starts from +0.0, so its output cannot show the sign
+    # of a zero; the folded path's adjusted bias starts from the bias itself.
+    layer = _filled_bit_layer("augmented", 11)
+    layer.bias[:] = -0.0
+    layer.cat_memory[:] = -0.0
+    layer.bit_memory[:] = 0.0
+    ids = np.arange(1, 12)
+    x = np.zeros((11, layer.n_numeric))
+    for batched, single in ((layer.forward_batch, layer.forward), (layer.forward_batch_folded, layer.forward_folded)):
+        z = batched(ids, x)
+        for row, category in enumerate(ids):
+            assert z[row].tobytes() == single(int(category), x[row]).tobytes()
+    # -0.0 - (+0.0) is -0.0: a zero bit leaves the row as it was.
+    rows = layer._memory_rows(bit_matrix(ids, layer.width))
+    adjusted = layer._add_memories_batch(np.tile(layer.bias, (11, 1)), ids, rows)
+    assert np.signbit(adjusted).all() and not adjusted.any()
+
+
+@pytest.mark.parametrize(
+    "batch, k, n_categories, bound",
+    [(2000, 8, 200, 6 * 2000 * 8 * 8), (2000, 32, 65536, 6 * 2000 * 32 * 8), (4, 32, 65536, 64 * 1024)],
+)
+def test_batched_forward_builds_no_table_or_stack(batch, k, n_categories, bound):
+    # Peak traced allocation of one warm call: a few (B, K) arrays at most,
+    # never an (N+1, K) bit-sum table (16 MiB at N=65536, K=32) nor a
+    # (width, B, K) stack of gathered bit memories.
+    augmented = AugmentedBinaryLayer.fresh(n_categories, 3, k, SplitMix64(2))
+    binary = BinaryLayer.fresh(n_categories, 3, k, SplitMix64(2))
+    ids = below_draws(SplitMix64(5).next_u64_block(batch), n_categories) + 1
+    x = SplitMix64(6).symmetric_array((batch, 3), 1.0)
+    for method in (augmented.forward_batch, augmented.forward_batch_folded, binary.forward_batch):
+        method(ids, x)
+        tracemalloc.start()
+        try:
+            method(ids, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{method.__qualname__}: {peak} bytes"

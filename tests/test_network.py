@@ -295,6 +295,45 @@ def test_mean_loss_and_run_sgd_reject_no_examples(form):
         run_sgd(net, empty, SgdConfig(0.1, 3))
 
 
+_NOT_INTEGERS = [2.7, 2.0, "3", True, np.True_]
+
+
+@pytest.mark.parametrize("category", _NOT_INTEGERS)
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_predict_batch_refuses_category_ids_that_are_not_integers(kind, category):
+    net = build_network(_config(kind=kind))
+    x = np.array([[0.2, -0.1]])
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        net.predict_batch([category], x)
+    for ids in (np.array([2], dtype=np.uint8), np.array([2], dtype=np.int32)):
+        assert net.predict_batch(ids, x).tobytes() == net.predict_batch([2], x).tobytes()
+
+
+@pytest.mark.parametrize("category", _NOT_INTEGERS)
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_predict_refuses_a_category_that_is_not_an_integer(kind, category):
+    net = build_network(_config(kind=kind))
+    x = np.array([0.2, -0.1])
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        net.predict(category, x)
+    assert net.predict(np.int16(2), x).tobytes() == net.predict(2, x).tobytes()
+
+
+def test_predict_batch_names_a_large_unsigned_id_as_given():
+    net = build_network(_config())
+    with pytest.raises(RangeError, match=f"category {2**63 + 5} out of 1..11"):
+        net.predict_batch(np.array([2**63 + 5], dtype=np.uint64), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("category", _NOT_INTEGERS)
+def test_mean_loss_refuses_triples_whose_category_is_not_an_integer(category):
+    net = build_network(_config())
+    x, target = np.array([0.2, -0.1]), np.array([0.5])
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        mean_loss(net, [(3, x, target), (category, x, target)])
+    assert mean_loss(net, [(np.int64(2), x, target)]) == mean_loss(net, [(2, x, target)])
+
+
 def test_sgd_config_validation():
     with pytest.raises(InvalidArgumentError):
         SgdConfig(0.0, 10)
