@@ -1,12 +1,20 @@
 """Dataset loading, vocabulary plumbing, and seeded synthetic generation.
 
-CSV convention: UTF-8, comma separated, one header row.  Numeric cells are
-never quoted; categorical cells are quoted only when they contain a comma.
-Floats are written with 17 significant digits so a save/load cycle reproduces
-the exact 64-bit values.
+CSV convention: UTF-8, comma separated, one header row, as Python's ``csv``
+module writes it (``save_csv`` ends lines with CRLF and quotes a label only
+when it holds a comma, a quote or a line break).  Floats are written with 17
+significant digits so a save/load cycle reproduces the exact 64-bit values.
 
 The first column is the categorical feature, the last column is the target,
 and everything between is numeric; column names must be distinct.
+
+Python's ``csv.reader`` and ``float`` define a valid file: every record has
+the header's length, no label is empty, and every other cell is a number
+``float`` reads as finite.  Reading takes two tiers.  numpy's C reader
+(``np.loadtxt``) converts the numeric block of a file in one call; the row
+walk reads the ``csv.reader`` records with one ``float`` per cell.  The walk
+reads every file the C tier declines, and it raises the first bad cell's
+ParseError.
 """
 
 from __future__ import annotations
@@ -103,48 +111,114 @@ def _parse_float(token: str, row: int, column: str) -> float:
 
 
 def _read_rows(path):
+    """The file's records as ``csv.reader`` yields them: (header, data rows)."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         try:
-            rows = list(csv.reader(handle))
+            rows.extend(csv.reader(handle))  # keeps the records read before an error
         except UnicodeDecodeError as err:
             raise ParseError(f"file is not UTF-8: {err}") from None
+        except csv.Error as err:  # a field longer than csv.field_size_limit()
+            raise ParseError(str(err), row=len(rows) or None) from None
     if not rows:
         raise ParseError("file is empty")
     return rows[0], rows[1:]
 
 
-def _parse_table(path):
-    """Header schema, raw labels, (rows, d) numerics and (rows, 1) targets.
+def _walk_rows(path):
+    """``_parse_table`` by ``csv.reader`` records and one ``_parse_float`` per cell.
 
-    Python's ``float`` converts every numeric and target cell in one
-    ``np.fromiter`` pass over the rows of the right length.  Only when that
-    pass or a bulk check fails (a cell ``float`` rejects, a row of the wrong
-    length, an empty label, a non-finite value) does a second pass walk the
-    rows in order and raise the ParseError of the first bad cell.
+    Raises the ParseError of the first bad cell in row order.
     """
     header, rows = _read_rows(path)
     schema = DatasetSchema.from_header(header)
     if not rows:
         raise ParseError("no data rows")
     width = len(header)
-    raw_labels = [row[0] if row else "" for row in rows]  # csv yields [] for a blank line
+    names = (*schema.numerics, schema.target)
+    values = np.empty((len(rows), width - 1))
+    for row_number, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ParseError(f"expected {width} cells, found {len(row)}", row=row_number)
+        if not row[0]:
+            raise ParseError("empty category", row=row_number, column=schema.categorical)
+        values[row_number - 1] = [_parse_float(token, row_number, name) for name, token in zip(names, row[1:])]
+    return schema, [row[0] for row in rows], values[:, :-1], values[:, -1:]
+
+
+# Where str.splitlines breaks a line; csv.reader breaks only at LF, CR and CRLF.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# NUL, and U+001C-U+001F: loadtxt strips these as space around a number, float refuses them.
+_DECLINED = "\0\x1c\x1d\x1e\x1f"
+
+
+def _read_bulk(path):
+    """Header cells, labels and (rows, columns - 1) values read by numpy's C reader.
+
+    Returns None for any file whose records or numbers that reader might not
+    reproduce exactly as ``csv.reader`` and ``float`` do: text that is not
+    UTF-8, a line break other than LF or CRLF, a NUL or U+001C-U+001F, no data
+    line, a blank line (loadtxt skips it, csv reads a row of no cells), a
+    line longer than ``csv.field_size_limit()``, a quoted cell that runs past
+    its line, a row of the wrong length, or a cell ``np.loadtxt`` refuses.
+    In a file with a quote, ``csv.reader`` reads each line's label and
+    length, and loadtxt's ``quotechar`` splits the line into the same cells;
+    ``comments=None`` keeps a ``#`` in a label.
+    """
     try:
-        values = np.fromiter(
-            (float(cell) for row in rows if len(row) == width for cell in row[1:]),
-            dtype=np.float64,
-            count=len(rows) * (width - 1),
-        ).reshape(len(rows), width - 1)
-    except ValueError:  # a cell that float rejects, or too few cells
-        values = None
-    if values is None or not all(raw_labels) or not np.isfinite(values).all():
-        for row_number, row in enumerate(rows, start=1):
-            if len(row) != width:
-                raise ParseError(f"expected {width} cells, found {len(row)}", row=row_number)
-            if not row[0]:
-                raise ParseError("empty category", row=row_number, column=schema.categorical)
-            for name, token in zip((*schema.numerics, schema.target), row[1:]):
-                _parse_float(token, row_number, name)
-    return schema, raw_labels, values[:, :-1], values[:, -1:]
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    lines = text.splitlines()
+    breaks = len(lines) - (text[-1:] not in _LINE_BREAKS)
+    if (breaks != text.count("\n") or any(char in text for char in _DECLINED) or len(lines) < 2
+            or "" in lines or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    if '"' in text:  # csv.reader gives each label and row length; loadtxt splits quotes as it does
+        del text
+        try:
+            records = list(csv.reader(lines, strict=True))
+        except csv.Error:  # strict refuses text after a closing quote, which the default reader keeps
+            return None
+        if len(records) != len(lines) or len(set(map(len, records))) != 1:  # a quoted cell ran on
+            return None
+        header = records[0]
+        labels = [cells[0] for cells in records]
+    else:
+        header = lines[0].split(",")
+        # loadtxt refuses a line of fewer cells than the header, so with this total no line has more.
+        if text.count(",") != (len(header) - 1) * len(lines):
+            return None
+        del text
+        labels = [line.partition(",")[0] for line in lines]
+    width = len(header)
+    if width < 2:
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', skiprows=1,
+                            usecols=range(1, width), ndmin=2)
+    except ValueError:
+        return None
+    return header, labels[1:], values
+
+
+def _parse_table(path):
+    """Header schema, raw labels, (rows, d) numerics and (rows, 1) targets.
+
+    One ``np.loadtxt`` call (numpy's C reader) converts every numeric and
+    target cell; where it accepts a cell its value equals Python's ``float``
+    bit for bit.  Python's ``csv`` and ``float`` still define what a valid
+    file is.  When the C tier declines a file (see ``_read_bulk``) or finds an
+    empty label or a non-finite value, the row walk reads it again: the
+    ``csv.reader`` records, one ``_parse_float`` per cell, and the ParseError
+    of the first bad cell in row order.
+    """
+    table = _read_bulk(path)
+    if table is None or not all(table[1]) or not np.isfinite(table[2]).all():
+        return _walk_rows(path)
+    header, raw_labels, values = table
+    return DatasetSchema.from_header(header), raw_labels, values[:, :-1], values[:, -1:]
 
 
 def load_csv(path) -> Dataset:

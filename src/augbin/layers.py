@@ -176,6 +176,12 @@ class Encoder:
         ids = np.asarray(categories)
         if ids.ndim != 1:
             raise InvalidArgumentError(f"categories must be 1-d, got shape {ids.shape}")
+        if ids.dtype == object:  # numpy keeps a Python int beyond int64 as an object
+            values = [category_index(category) for category in ids]
+            bad = [category for category in values if not 1 <= category <= self.n_categories]
+            if bad:
+                raise RangeError(f"category {bad[0]} out of 1..{self.n_categories}")
+            ids = np.array(values, dtype=np.int64)
         if ids.size and ids.dtype.kind not in "iu":
             raise InvalidArgumentError(f"categories must be integers, got dtype {ids.dtype}")
         bad = (ids < 1) | (ids > self.n_categories)

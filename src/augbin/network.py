@@ -382,8 +382,13 @@ def stack_examples(examples) -> Batch:
     if not examples:
         raise InvalidArgumentError("no examples")
     categories, numerics, targets = zip(*examples)
+    ids = [category_index(c) for c in categories]
+    try:
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id beyond int64: the encoder's batch check names it
+        ids = np.array(ids, dtype=object)
     return Batch(
-        np.array([category_index(c) for c in categories], dtype=np.int64),
+        ids,
         _stack_rows(numerics, "numerics"),
         _stack_rows(targets, "targets"),
     )

@@ -172,6 +172,13 @@ def test_train_reports_a_blank_data_line_as_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "augbin: expected 3 cells, found 0 (data row 2)\n"
 
 
+def test_train_reports_a_field_over_the_csv_limit_as_a_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"category,x1,target\na,0.5,1.0\n{'b' * 200_000},0.25,2.0\n")
+    assert run(["train", "--data", str(path), "--encoding", "onehot", "--steps", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err == "augbin: field larger than field limit (131072) (data row 2)\n"
+
+
 def test_train_hands_run_sgd_the_dataset_arrays(dataset_path, monkeypatch, capsys):
     calls = []
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from augbin import (
     split_rows,
     synth_gen,
 )
+from augbin.cli import EXIT_PASS, run
 from augbin.data import _parse_float, _parse_table, _read_rows, category_label
 
 
@@ -51,20 +53,23 @@ def scalar_parse_table(path):
     return schema, raw_labels, numerics, targets
 
 
-_LABELS = st.sampled_from(["a", "b", "with, comma", "\u00fc", " c "])
+# A label holding both CR and LF is quoted by csv.writer whatever its line terminator.
+_LABELS = st.sampled_from(["a", "b", "with, comma", "\u00fc", " c ", 'a"b', "#x", "line\r\nbreak", "nul\0"])
 _NUMBERS = st.one_of(
     st.sampled_from(["0", "-0.0", "1e308", "-1e308", "1_000", " 2.5", "2.5 ", "+4", ".5", "5.",
-                     "1E-5", "5e-324", "0.1", "1.7976931348623157e308"]),
+                     "1E-5", "5e-324", "0.1", "1.7976931348623157e308", "\u00a02.5", "\u0661\u0662"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
-_BAD_NUMBERS = st.sampled_from(["oops", "", "1,5", "1..2", "0x10", "1e", "--1", "1 2"])
+_BAD_NUMBERS = st.sampled_from(["oops", "", "1,5", "1..2", "0x10", "1e", "--1", "1 2",
+                                "\x1c1.5", "2.5\x1d", "\x1e-3", "4\x1f", "1\x002"])
 _NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e309"])
 _FAULTS = ("blank", "short", "long", "empty category", "unparsable", "non-finite")
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
-def _csv_text(n_numeric, rows):
+def _csv_text(n_numeric, rows, line_end="\n"):
     handle = io.StringIO()
-    writer = csv.writer(handle, lineterminator="\n")
+    writer = csv.writer(handle, lineterminator=line_end)
     writer.writerow(["category", *(f"x{j}" for j in range(1, n_numeric + 1)), "target"])
     writer.writerows(rows)
     return handle.getvalue()
@@ -241,23 +246,43 @@ def test_load_csv_rejects_empty_category(tmp_path):
 
 
 @given(st.integers(0, 3).flatmap(
-    lambda d: st.tuples(st.just(d), st.lists(_valid_row(d), min_size=1, max_size=6))))
+    lambda d: st.tuples(st.just(d), st.lists(_valid_row(d), min_size=1, max_size=6))), _LINE_ENDS)
 @settings(max_examples=300, deadline=None)
-def test_parse_table_equals_the_scalar_oracle_on_valid_files(csv_file, case):
+def test_parse_table_equals_the_scalar_oracle_on_valid_files(csv_file, case, line_end):
     n_numeric, rows = case
-    csv_file.write_text(_csv_text(n_numeric, rows), encoding="utf-8")
+    csv_file.write_text(_csv_text(n_numeric, rows, line_end), encoding="utf-8", newline="")
     outcome = _parse_outcome(_parse_table, csv_file)
     assert outcome[0] == "ok"
     assert outcome == _parse_outcome(scalar_parse_table, csv_file)
 
 
 @given(st.integers(0, 3).flatmap(lambda d: st.tuples(
-    st.just(d), st.lists(st.one_of(_valid_row(d), _faulty_row(d)), min_size=1, max_size=6))))
+    st.just(d), st.lists(st.one_of(_valid_row(d), _faulty_row(d)), min_size=1, max_size=6))), _LINE_ENDS)
 @settings(max_examples=500, deadline=None)
-def test_parse_table_raises_what_the_scalar_oracle_raises(csv_file, case):
+def test_parse_table_raises_what_the_scalar_oracle_raises(csv_file, case, line_end):
     n_numeric, rows = case
-    csv_file.write_text(_csv_text(n_numeric, rows), encoding="utf-8")
+    csv_file.write_text(_csv_text(n_numeric, rows, line_end), encoding="utf-8", newline="")
     assert _parse_outcome(_parse_table, csv_file) == _parse_outcome(scalar_parse_table, csv_file)
+
+
+# Cell text around the edges of float's syntax: signs, underscores, exponents, the
+# words inf and nan, Unicode digits and spaces.  The C tier declines NUL and
+# U+001C-U+001F; a comma, a quote or a line break would not leave one cell.
+_CELL_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-.eE_ \t\v\f\u00a0\u2003\u0085\u0661\uff11xinfatyINFATY"), max_size=10),
+    st.text(st.characters(exclude_characters=',"\n\r\0\x1c\x1d\x1e\x1f', exclude_categories=("Cs",)), max_size=6),
+    st.floats().map(repr),
+)
+
+
+@given(_CELL_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_loadtxt_reads_every_cell_it_accepts_as_float_does(cell):
+    try:
+        values = np.loadtxt([f"label,{cell}"], delimiter=",", comments=None, quotechar='"', usecols=[1], ndmin=1)
+    except ValueError:
+        return  # the row walk reads such a file
+    assert float(values[0]).hex() == float(cell).hex()
 
 
 _FAULT_ROWS = {
@@ -282,26 +307,111 @@ def test_parse_table_reports_the_first_of_two_faulty_rows(first, second, csv_fil
     assert outcome == _parse_outcome(scalar_parse_table, csv_file)
 
 
-def test_parse_table_calls_float_once_per_cell_on_a_valid_file(monkeypatch, tmp_path):
+_QUOTE_LINE = st.lists(st.sampled_from(['"', '""', ",", "1", "2.5", "a", " ", "\t", "#"]),
+                       min_size=1, max_size=10).map("".join)
+
+
+@given(_QUOTE_LINE)
+@settings(max_examples=500, deadline=None)
+def test_loadtxt_splits_a_quoted_line_into_the_cells_csv_reads(line):
+    try:
+        records = list(csv.reader([line], strict=True))
+    except csv.Error:
+        return  # the row walk reads such a file
+    try:
+        cells = np.loadtxt([line], delimiter=",", comments=None, quotechar='"', dtype=str, ndmin=2)[0].tolist()
+    except ValueError:
+        return
+    assert [cells] == records
+
+
+def _count_float_calls(monkeypatch):
+    """Record each Python ``float`` call of ``augbin.data``; ``_parse_float`` appends ``None``."""
     calls = []
 
     def counting_float(token):
         calls.append(token)
         return float(token)
 
-    def no_parse_float(*args):
-        raise AssertionError("_parse_float is the error path only")
+    def counting_parse_float(token, row, column):
+        calls.append(None)
+        return _parse_float(token, row, column)
 
-    path = tmp_path / "valid.csv"
-    save_csv(synth_gen(4, 5, 2, 30), path)
-    expected = scalar_parse_table(path)
     monkeypatch.setattr(augbin.data, "float", counting_float, raising=False)
-    monkeypatch.setattr(augbin.data, "_parse_float", no_parse_float)
-    schema, labels, numerics, targets = _parse_table(path)
-    assert len(calls) == 30 * 3
-    assert (schema, labels) == expected[:2]
-    assert numerics.tobytes() == expected[2].tobytes()
-    assert targets.tobytes() == expected[3].tobytes()
+    monkeypatch.setattr(augbin.data, "_parse_float", counting_parse_float)
+    return calls
+
+
+def _save_gen_file(path):
+    save_csv(synth_gen(4, 5, 2, 30), path)
+    assert path.read_bytes().count(b"\r\n") == 31  # csv.writer ends lines with CRLF
+
+
+def _write_quoted_label_file(path):
+    path.write_text('category,x1,target\n"say ""hi"", #1",0.5,1.0\nb,0.25,2.0\n"c",1e-3,-4\n', newline="")
+
+
+@pytest.mark.parametrize("write", [_save_gen_file, _write_quoted_label_file])
+def test_parse_table_reads_a_valid_file_without_python_float(write, monkeypatch, tmp_path):
+    path = tmp_path / "valid.csv"
+    write(path)
+    expected = _parse_outcome(scalar_parse_table, path)
+    calls = _count_float_calls(monkeypatch)
+    assert _parse_outcome(_parse_table, path) == expected
+    assert expected[0] == "ok"
+    assert calls == []
+
+
+def test_parse_table_reads_an_underscored_number_by_the_row_walk(monkeypatch, tmp_path):
+    path = tmp_path / "underscore.csv"
+    path.write_text("category,x1,target\na,1_000,1.0\nb,0.25,2.0\n")
+    expected = _parse_outcome(scalar_parse_table, path)
+    calls = _count_float_calls(monkeypatch)
+    outcome = _parse_outcome(_parse_table, path)
+    assert outcome == expected
+    assert np.frombuffer(outcome[4]).tolist() == [1000.0, 0.25]
+    assert calls.count(None) == 4  # one _parse_float per cell
+
+
+@pytest.mark.parametrize("text", [
+    # str.splitlines breaks a line at these, csv.reader does not
+    *(f"c,x,t\nq,1,2{brk}z,3,4\n" for brk in ["\v", "\f", "\x85", "\u2028", "\u2029"]),
+    'c,x,t\na,1,"2\n3",4,5\n',  # a quoted cell spans two lines of the right length
+    'c,x,t\n"q","1,5"\n',  # two cells, but as many commas as three
+    'c,x,t\n"q"x,1,2\n',  # text after a closing quote, which csv keeps
+    "c,x,t\na,1,2\n\nb,3,4\n",  # a blank line is a row of no cells
+    "\nc,x,t\na,1,2\n",  # a blank header
+    "c,x,t\na,1,2\nb,3,4,5\n",  # a row longer than the header, which loadtxt's usecols would skip
+    "c,x,t\n\na,1,2,3,4\n",  # a blank line whose missing cells a long row makes up
+    'c,x,t\na,1,"2\n',  # a quote still open at the end of the file
+    *(f"c,x,t\na,{sep}1.5,2\n" for sep in "\x1c\x1d\x1e\x1f"),  # loadtxt strips these, float refuses them
+], ids=["vt", "ff", "nel", "ls", "ps", "spanning quote", "quoted comma", "after quote", "blank", "blank header",
+        "long", "blank and long", "open quote", "fs", "gs", "rs", "us"])
+def test_parse_table_equals_the_scalar_oracle_where_lines_could_mislead(text, csv_file):
+    csv_file.write_text(text, encoding="utf-8", newline="")
+    assert _parse_outcome(_parse_table, csv_file) == _parse_outcome(scalar_parse_table, csv_file)
+
+
+def test_parse_table_reports_a_field_over_the_csv_limit_with_its_row(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"category,x1,target\na,0.5,1.0\n\"{'b' * 200_000}\",0.25,2.0\n")
+    outcome = _parse_outcome(_parse_table, path)
+    assert outcome == ("error", "field larger than field limit (131072) (data row 2)", 2, None)
+    assert outcome == _parse_outcome(scalar_parse_table, path)
+
+
+def test_parse_table_peak_memory_on_a_gen_file(tmp_path):
+    path = tmp_path / "gen.csv"
+    assert run(["gen", "--seed", "1", "--categories", "200", "--numeric", "3", "--rows", "2000",
+                "--noise", "0.1", "--out", str(path)]) == EXIT_PASS
+    _parse_table(path)
+    tracemalloc.start()
+    try:
+        _parse_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_quoted_labels_with_commas_survive_roundtrip(tmp_path):

@@ -325,6 +325,25 @@ def test_predict_batch_names_a_large_unsigned_id_as_given():
         net.predict_batch(np.array([2**63 + 5], dtype=np.uint64), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("category", [2**70, -(2**70), 2**64])
+def test_predict_batch_names_an_id_beyond_int64(category):
+    net = build_network(_config())
+    with pytest.raises(RangeError, match=rf"^category {category} out of 1..11$"):
+        net.predict_batch([3, category], np.zeros((2, 2)))
+    with pytest.raises(InvalidArgumentError, match="integer"):  # still refused before any range check
+        net.predict_batch(np.array([category, 2.5], dtype=object), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("category", [2**70, -(2**70), 2**64])
+def test_mean_loss_names_a_triple_id_beyond_int64(category):
+    net = build_network(_config())
+    x, target = np.array([0.2, -0.1]), np.array([0.5])
+    with pytest.raises(RangeError, match=rf"^category {category} out of 1..11$"):
+        mean_loss(net, [(3, x, target), (category, x, target)])
+    with pytest.raises(RangeError, match=rf"^category {category} out of 1..11$"):
+        net.predict(category, x)
+
+
 @pytest.mark.parametrize("category", _NOT_INTEGERS)
 def test_mean_loss_refuses_triples_whose_category_is_not_an_integer(category):
     net = build_network(_config())
