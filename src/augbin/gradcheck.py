@@ -66,21 +66,23 @@ def analytic_gradients(network: Network, category: int, numerics, target) -> dic
 def numeric_gradients(
     network: Network, category: int, numerics, target, step: float = 1e-6
 ) -> dict[str, np.ndarray]:
-    """Central differences (loss(p+h) - loss(p-h)) / 2h, parameter by parameter."""
+    """Central differences (loss(p+h) - loss(p-h)) / 2h, parameter by parameter.
+
+    Each entry is perturbed by its own index, so the write reaches the live
+    array even when it is not contiguous (``ravel`` would perturb a copy).
+    """
     target = np.asarray(target, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
     for name, arr in param_arrays(network):
-        grad = np.zeros_like(arr)
-        flat = arr.ravel()
-        grad_flat = grad.ravel()
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
+        grad = np.zeros(arr.shape)
+        for idx in np.ndindex(arr.shape):
+            original = arr[idx]
+            arr[idx] = original + step
             plus = mse_loss(network.predict(category, numerics), target)
-            flat[idx] = original - step
+            arr[idx] = original - step
             minus = mse_loss(network.predict(category, numerics), target)
-            flat[idx] = original
-            grad_flat[idx] = (plus - minus) / (2.0 * step)
+            arr[idx] = original
+            grad[idx] = (plus - minus) / (2.0 * step)
         grads[name] = grad
     return grads
 

@@ -18,10 +18,9 @@ The base owns what the three share: input validation, ``k``,
 ``n_numeric``, the named parameter arrays (``params``) and their count,
 the numeric terms of the forward pass, and the numeric-then-bias update.
 ``_BitEncoder`` adds what binary and augmented share: the bit width, the
-one-bit rows of a category, the distinct categories of a batch and their
-bits, the batched bit-row sum, the table of every category's bit-row sum,
-and the seeded draws of a fresh layer.  A concrete
-encoder supplies ``kind``, its array fields (every
+distinct categories of a batch and their bits, the batched bit-row sum, the
+table of every category's bit-row sum, and the seeded draws of a fresh
+layer.  A concrete encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
 of its own categorical arrays, and defines ``forward``, ``apply_update``,
 ``effective_contribution`` and ``all_contributions`` itself, so that each
@@ -50,14 +49,22 @@ index order with one accumulator per output neuron.
 
 The per-example methods, which are the training step, are array-form: each
 stacks its terms in that order (gathered bit rows, numeric terms, bias,
-category memory, negated bit-memory columns) and adds them with one
-:func:`ordered_sum`, a sequential ``np.add.accumulate`` that starts from
-+0.0 where the ascending loop starts from zeros.  So each equals the loop of
-one ``+=`` per term bit for bit (``a - b`` is ``a + (-b)`` exactly in IEEE
-arithmetic); no pairwise reduction (``np.sum``) or BLAS product regroups
-the terms.  Updates subtract ``delta`` from the gathered rows and columns
-by fancy indexing; the one-bit rows are distinct, so each entry still gets
-one subtraction.
+category memory, negated bit-memory rows) and adds them with one
+:func:`ordered_sum`, a sequential ``np.add.accumulate`` plus +0.0, which
+equals the loop of one ``+=`` per term from zeros bit for bit (``a - b`` is
+``a + (-b)`` exactly in IEEE arithmetic); no pairwise reduction (``np.sum``)
+or BLAS product regroups the terms.  The binary encoder gathers and updates
+its bit rows by fancy indexing.
+
+The augmented encoder keeps its three families in one (n + N + n, K)
+buffer: the n bit-weight rows, the N category-memory rows, then the n
+bit-memory rows.  ``bit_weights``, ``cat_memory`` and ``bit_memory`` are
+views of it, ``bit_memory`` the (K, n) transpose of the last n rows, and
+construction copies the caller's arrays into it.  A step touches 2*ones+1
+of its rows, which ``_step_rows`` lists from the Python integer: the
+forward gathers them with one ``take`` and negates the bit-memory block,
+and the update is one ``buffer[rows] -= delta``.  The rows are distinct,
+so each entry gets one subtraction.
 
 ``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
 evaluates B rows at once for loss evaluation.  What depends on the category
@@ -117,15 +124,15 @@ def category_index(category) -> int:
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of the rows of a (m, K) array, bit for bit ``z = zeros(K); for t in terms: z += t``.
 
-    ``np.add.accumulate`` adds strictly one row after another.  Adding +0.0
-    to the first row is the loop's first step: without it a -0.0 first term
-    would leave a -0.0 sum where the loop gives +0.0.  ``terms`` is scratch;
-    its first row is overwritten.
+    ``np.add.accumulate`` adds strictly one row after another.  The loop's
+    +0.0 start matters only where every term is -0.0: no sum that starts from
+    +0.0 is ever -0.0, and a run of -0.0 terms is absorbed by the first other
+    term either way.  So adding +0.0 at the end, which turns only -0.0 into
+    +0.0, gives the loop's sum.
     """
     if not terms.shape[0]:
         return np.zeros(terms.shape[1:])
-    terms[0] += 0.0
-    return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 class Encoder:
@@ -207,7 +214,7 @@ class Encoder:
         return z
 
     def _update_numerics_and_bias(self, x: np.ndarray, delta: np.ndarray) -> None:
-        self.num_weights -= x[:, None] * delta
+        self.num_weights -= np.multiply.outer(x, delta)
         self.bias -= delta
 
 
@@ -297,13 +304,6 @@ class _BitEncoder(Encoder):
     def width(self) -> int:
         return self.bit_weights.shape[0]
 
-    def _rows(self, category: int) -> np.ndarray:
-        """0-based rows of the category's one-bits, ascending: ``encode(category, width).positions`` - 1.
-
-        Read off the Python integer, so any width works; callers range-check first.
-        """
-        return np.array([i for i in range(self.width) if category >> i & 1])
-
     def _bit_sum_table(self) -> np.ndarray:
         """(N+1, K) table whose row c is category c's bit-row sum, ascending; row 0 is +0.0.
 
@@ -362,6 +362,13 @@ class BinaryLayer(_BitEncoder):
     def _from_draws(cls, n_categories: int, **arrays) -> "BinaryLayer":
         return cls(n_categories=n_categories, **arrays)
 
+    def _rows(self, category: int) -> np.ndarray:
+        """0-based rows of the category's one-bits, ascending: ``encode(category, width).positions`` - 1.
+
+        Read off the Python integer, so any width works; callers range-check first.
+        """
+        return np.array([i for i in range(self.width) if category >> i & 1])
+
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         x = self._check_example(category, numerics)
         rows = self._rows(category)
@@ -407,6 +414,10 @@ class AugmentedBinaryLayer(_BitEncoder):
     bits, so the net category contribution behaves as if each category owned
     a private weight row.
 
+    The three families are views of one (n + N + n, K) buffer (see the
+    module docstring); construction copies the caller's arrays into it, so
+    the layer never aliases them.  Write them in place, never rebind them.
+
     ``skip_category_memory_update`` is a fault-injection hook for harness
     self-tests; it must stay False in real use.
     """
@@ -422,23 +433,57 @@ class AugmentedBinaryLayer(_BitEncoder):
 
     def __post_init__(self):
         # Checked first: n_categories, and so the bit width, come from it.
-        self.cat_memory = _as_matrix(self.cat_memory, None, len(self.bias), "cat_memory")
+        cat_memory = self.cat_memory = _as_matrix(self.cat_memory, None, len(self.bias), "cat_memory")
         super().__post_init__()
-        self.bit_memory = _as_matrix(self.bit_memory, self.k, self.width, "bit_memory")
+        bit_memory = _as_matrix(self.bit_memory, self.k, self.width, "bit_memory")
+        n, bits_end = self.width, self.width + self.n_categories
+        # np.zeros leaves its pages unwritten; an all +0.0 category memory (a
+        # fresh layer's) is not copied, so its N x K block stays unwritten too.
+        self._buffer = np.zeros((bits_end + n, self.k))
+        self._buffer[:n] = self.bit_weights
+        if cat_memory.view(np.uint64).any():  # any bit set: not all +0.0
+            self._buffer[n:bits_end] = cat_memory
+        self._buffer[bits_end:] = bit_memory.T
+        self.bit_weights = self._buffer[:n]
+        self.cat_memory = self._buffer[n:bits_end]
+        self.bit_memory = self._buffer[bits_end:].T
 
     @classmethod
     def _from_draws(cls, n_categories: int, **arrays) -> "AugmentedBinaryLayer":
         k, width = arrays["bias"].shape[0], arrays["bit_weights"].shape[0]
-        # Both memories start at zero.
-        return cls(**arrays, cat_memory=np.zeros((n_categories, k)), bit_memory=np.zeros((k, width)))
+        # Both memories start at zero.  A broadcast zero allocates nothing N x K:
+        # the constructor copies no all +0.0 category memory into its buffer.
+        zero = np.broadcast_to(0.0, (n_categories, k))
+        return cls(**arrays, cat_memory=zero, bit_memory=np.zeros((k, width)))
 
     @property
     def n_categories(self) -> int:
         return self.cat_memory.shape[0]
 
-    def _memory_terms(self, category: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The category's memory row (1, K), then the negated memory of each one-bit (ones, K)."""
-        return self.cat_memory[category - 1 : category], -self.bit_memory[:, rows].T
+    def _step_rows(self, category: int, with_category: bool = True) -> np.ndarray:
+        """Buffer rows of one step: the one-bits' weight rows, the category memory row, the one-bits' memory rows.
+
+        Each block ascends.  Read off the Python integer, so any width works;
+        callers range-check first.
+        """
+        width = self.bit_weights.shape[0]
+        memory = self._buffer.shape[0] - width  # the first bit-memory row
+        bits = [i for i in range(width) if category >> i & 1]
+        rows = bits + ([width + category - 1] if with_category else []) + [memory + i for i in bits]
+        return np.fromiter(rows, np.intp, len(rows))
+
+    def _step_terms(self, category: int) -> tuple[np.ndarray, int]:
+        """The step's rows in one gather, with the bit-memory block negated; and the number of one-bits.
+
+        Rows: the one-bits' weight rows, the category memory row, then the
+        negated memory of each one-bit.  The caller owns the array.
+        """
+        rows = self._step_rows(category)
+        ones = len(rows) // 2
+        terms = self._buffer.take(rows, axis=0)
+        memories = terms[ones + 1 :]
+        np.negative(memories, out=memories)
+        return terms, ones
 
     def _memory_rows(self, bits: np.ndarray) -> np.ndarray:
         """(width, U) rows for :meth:`_add_memories_batch`: i where bit i is set, ``width`` where it is not."""
@@ -467,10 +512,9 @@ class AugmentedBinaryLayer(_BitEncoder):
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         """Bit rows + numeric terms + bias + category memory - bit memories."""
         x = self._check_example(category, numerics)
-        rows = self._rows(category)
-        memories = self._memory_terms(category, rows)
-        z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), self.bias[None], *memories)))
-        self._count_forward(counters, len(rows))
+        terms, ones = self._step_terms(category)
+        z = ordered_sum(np.concatenate((terms[:ones], self._numeric_terms(x), self.bias[None], terms[ones:])))
+        self._count_forward(counters, ones)
         return z
 
     def forward_folded(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
@@ -480,11 +524,11 @@ class AugmentedBinaryLayer(_BitEncoder):
         (budgeted at 1e-12 absolute per component).
         """
         x = self._check_example(category, numerics)
-        rows = self._rows(category)
+        terms, ones = self._step_terms(category)
         # The adjusted bias starts from the bias itself, not from +0.0.
-        adjusted = np.add.accumulate(np.concatenate((self.bias[None], *self._memory_terms(category, rows))), axis=0)
-        z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), adjusted[-1:])))
-        self._count_forward(counters, len(rows))
+        adjusted = np.add.accumulate(np.concatenate((self.bias[None], terms[ones:])), axis=0)
+        z = ordered_sum(np.concatenate((terms[:ones], self._numeric_terms(x), adjusted[-1:])))
+        self._count_forward(counters, ones)
         return z
 
     def forward_batch(self, categories, numerics) -> np.ndarray:
@@ -508,27 +552,24 @@ class AugmentedBinaryLayer(_BitEncoder):
         return self._add_numerics_and_bias_batch(z, x, np.take(adjusted, inverse, axis=0))
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        """Subtract the same delta from bit rows, category memory, bit memory.
+        """Subtract the same delta from bit rows, category memory, bit memory, in one scatter.
 
         The bit-row and bit-memory changes cancel in every forward pass, so
         only the category-memory change survives, and only for this category.
         """
         x = self._check_example(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
-        rows = self._rows(category)
-        self.bit_weights[rows] -= delta
-        if not self.skip_category_memory_update:
-            self.cat_memory[category - 1] -= delta
-        self.bit_memory[:, rows] -= delta[:, None]
+        rows = self._step_rows(category, with_category=not self.skip_category_memory_update)
+        self._buffer[rows] -= delta
         self._update_numerics_and_bias(x, delta)
         if counters is not None:
-            counters.encoding_param_updates += (2 * len(rows) + 1) * self.k
+            ones = len(rows) // 2  # with or without the category row
+            counters.encoding_param_updates += (2 * ones + 1) * self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
         """Category-dependent part of the pre-activation."""
         self._check_category(category)
-        rows = self._rows(category)
-        return ordered_sum(np.concatenate((self.bit_weights[rows], *self._memory_terms(category, rows))))
+        return ordered_sum(self._step_terms(category)[0])
 
     def all_contributions(self) -> np.ndarray:
         """Bit sums, plus each category's memory, minus its one-bits' memories, ascending.

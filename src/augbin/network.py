@@ -55,8 +55,11 @@ class Activation(str, Enum):
     def apply(self, z: np.ndarray) -> np.ndarray:
         if self is Activation.IDENTITY:
             return z.copy()
-        if self is Activation.SIGMOID:
-            return 1.0 / (1.0 + np.exp(-z))
+        if self is Activation.SIGMOID:  # 1.0 / (1.0 + np.exp(-z)), in one new array
+            a = np.negative(z)
+            np.exp(a, out=a)
+            np.add(1.0, a, out=a)
+            return np.divide(1.0, a, out=a)
         if self is Activation.TANH:
             return np.tanh(z)
         return np.maximum(z, 0.0)
@@ -191,7 +194,9 @@ class Network:
         ]
         for idx in range(len(stages) - 1, -1, -1):
             activation, _ = stages[idx]
-            dz = grad * activation.derivative(cache.pre_activations[idx], cache.activations[idx])
+            dz = grad  # the identity's derivative is 1.0, and grad * 1.0 is grad exactly
+            if activation is not Activation.IDENTITY:
+                dz = grad * activation.derivative(cache.pre_activations[idx], cache.activations[idx])
             deltas.append(dz)
             if idx > 0:
                 layer = stages[idx][1]
@@ -215,7 +220,7 @@ class Network:
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
             step = learning_rate * deltas[idx + 1]
-            layer.weights -= cache.activations[idx][:, None] * step
+            layer.weights -= np.multiply.outer(cache.activations[idx], step)
             layer.bias -= step
         encoder_delta = learning_rate * deltas[0]
         self.encoder.apply_update(cache.category, cache.numerics, encoder_delta, counters)

@@ -82,6 +82,33 @@ def test_numeric_oracle_confirms_memory_sign_asymmetry():
         assert np.max(np.abs(bit_column + cat_row)) < 1e-9
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_oracle_perturbs_non_contiguous_parameters(layout):
+    # ravel() of a non-contiguous array is a copy: an oracle that perturbed it
+    # would leave the network as it was and report zero gradients.
+    net = _net("onehot", Activation.SIGMOID, hidden=(2, 2))
+    weights, table = net.layers[0].weights, net.encoder.cat_weights
+    if layout == "fortran":
+        net.layers[0].weights, net.encoder.cat_weights = np.asfortranarray(weights), np.asfortranarray(table)
+    else:
+        net.layers[0].weights, net.encoder.cat_weights = weights.T.copy().T, table.T.copy().T
+    assert not net.layers[0].weights.flags.c_contiguous and not net.encoder.cat_weights.flags.c_contiguous
+    numerics, target = np.array([0.4, -0.6]), np.array([0.3, -0.1])
+    result = check_gradients(net, 5, numerics, target)
+    assert result.passed, str(result)
+    numeric = numeric_gradients(net, 5, numerics, target)
+    assert np.all(numeric["layers[0].weights"] != 0.0)
+    assert np.any(numeric["encoder.cat_weights"][4] != 0.0)
+    assert np.array_equal(net.layers[0].weights, weights)  # every entry put back
+
+
+def test_oracle_sees_the_transposed_bit_memory():
+    net = _net("augmented", Activation.SIGMOID)
+    assert not net.encoder.bit_memory.flags.c_contiguous
+    numeric = numeric_gradients(net, 3, np.array([0.2, 0.1]), np.array([0.0, 0.5]))
+    assert np.all(numeric["encoder.bit_memory"][:, :2] != 0.0)  # category 3: bits 1 and 2
+
+
 def test_inactive_parameters_have_zero_gradient():
     net = _net("augmented", Activation.SIGMOID)
     grads = analytic_gradients(net, 4, np.array([0.2, 0.1]), np.array([0.0, 0.5]))

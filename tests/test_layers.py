@@ -434,6 +434,78 @@ def test_params_lists_array_fields_in_order():
     assert [name for name, _ in _binary_fixture().params()] == ["bit_weights", "num_weights", "bias"]
 
 
+def _assert_views_of_one_buffer(layer):
+    """bit_weights, cat_memory and bit_memory are the (n + N + n, K) buffer's row blocks, in that order."""
+    n, count = layer.width, layer.n_categories
+    buffer = layer._buffer
+    assert buffer.shape == (2 * n + count, layer.k) and buffer.flags.c_contiguous
+    assert all(array.base is buffer for array in (layer.bit_weights, layer.cat_memory, layer.bit_memory))
+    assert np.shares_memory(layer.bit_weights, buffer[:n]) and layer.bit_weights.shape == (n, layer.k)
+    assert np.shares_memory(layer.cat_memory, buffer[n : n + count]) and layer.cat_memory.shape == (count, layer.k)
+    assert np.shares_memory(layer.bit_memory, buffer[n + count :]) and layer.bit_memory.shape == (layer.k, n)
+    assert buffer[:n].tobytes() == layer.bit_weights.tobytes()
+    assert buffer[n : n + count].tobytes() == layer.cat_memory.tobytes()
+    assert buffer[n + count :].T.tobytes() == layer.bit_memory.tobytes()
+
+
+def test_augmented_families_are_views_of_one_buffer_built_from_copies():
+    k, count, n = 3, 5, 3
+    stream = SplitMix64(21)
+    # Non-contiguous caller arrays holding -0.0 and inf.
+    bits = stream.symmetric_array((2 * n, k), 1.0)[::2]
+    bits[1, 2] = -0.0
+    cat_memory = np.asfortranarray(stream.symmetric_array((count, k), 1.0))
+    cat_memory[0] = [-0.0, np.inf, -np.inf]
+    bit_memory = stream.symmetric_array((n, k), 1.0).T
+    bit_memory[2, 0] = -0.0
+    inputs = {"bit_weights": bits, "cat_memory": cat_memory, "bit_memory": bit_memory}
+    expected = {name: array.tobytes() for name, array in inputs.items()}
+    layer = AugmentedBinaryLayer(num_weights=np.zeros((1, k)), bias=np.zeros(k), **inputs)
+    _assert_views_of_one_buffer(layer)
+    assert {name: getattr(layer, name).tobytes() for name in inputs} == expected
+    for array in inputs.values():  # the layer holds copies: the caller's arrays are not aliased
+        array[...] = 7.0
+    assert {name: getattr(layer, name).tobytes() for name in inputs} == expected
+    # In-place writes through params() reach the buffer, and the forward reads them.
+    for index, (_, array) in enumerate(layer.params()):
+        array[...] = SplitMix64(index).symmetric_array(array.shape, 1.0)
+    _assert_views_of_one_buffer(layer)
+    for category in range(1, count + 1):
+        rows = [i - 1 for i in encode(category, n).positions]
+        manual = np.zeros(k)
+        for i in rows:
+            manual += layer.bit_weights[i]
+        manual += layer.cat_memory[category - 1]
+        for i in rows:
+            manual -= layer.bit_memory[:, i]
+        assert layer.effective_contribution(category).tobytes() == manual.tobytes()
+
+
+@pytest.mark.parametrize("fill", [0.0, -0.0])
+def test_zero_category_memory_is_kept_bit_for_bit(fill):
+    # An all +0.0 memory is left as the zeroed buffer holds it; -0.0 is copied.
+    layer = AugmentedBinaryLayer(bit_weights=np.ones((3, 2)), num_weights=np.zeros((0, 2)), bias=np.zeros(2),
+                                 cat_memory=np.full((4, 2), fill), bit_memory=np.zeros((2, 3)))
+    _assert_views_of_one_buffer(layer)
+    assert layer.cat_memory.tobytes() == np.full((4, 2), fill).tobytes()
+
+
+def test_fresh_augmented_layer_is_views_of_a_zero_memory_buffer():
+    layer = AugmentedBinaryLayer.fresh(37, 2, 4, SplitMix64(3))
+    _assert_views_of_one_buffer(layer)
+    assert layer.cat_memory.tobytes() == np.zeros((37, 4)).tobytes()
+    assert layer.bit_memory.tobytes() == np.zeros((4, 6)).tobytes()
+
+
+def test_augmented_params_and_count_leave_out_the_buffer():
+    layer = AugmentedBinaryLayer.fresh(37, 2, 4, SplitMix64(3))
+    shapes = [(name, array.shape) for name, array in layer.params()]
+    assert shapes == [("bit_weights", (6, 4)), ("num_weights", (2, 4)), ("bias", (4,)),
+                      ("cat_memory", (37, 4)), ("bit_memory", (4, 6))]
+    assert all(array is not layer._buffer for _, array in layer.params())
+    assert layer.param_count == 6 * 4 + 2 * 4 + 4 + 37 * 4 + 4 * 6 == layer._buffer.size + 2 * 4 + 4
+
+
 def _filled_bit_layer(kind, n_categories, k=3, n_numeric=2, seed=0):
     """A bit encoder whose every parameter, memories included, is a non-zero draw."""
     layer = ENCODERS[kind].fresh(n_categories, n_numeric, k, SplitMix64(seed))

@@ -211,10 +211,15 @@ def step_record(net, category, numerics, target, learning_rate, counters):
     return record
 
 
-def assert_trajectories_match(config, folded, steps, learning_rate, seed):
-    """Train twins of ``config`` on the array path and on the loop oracles; compare every step."""
+def assert_trajectories_match(config, folded, steps, learning_rate, seed, skip_category_memory=False):
+    """Train twins of ``config`` on the array path and on the loop oracles; compare every step.
+
+    ``skip_category_memory`` sets the augmented encoder's fault hook on both twins.
+    """
     fast, slow = build_network(config), build_network(config)
     fast.folded_forward = slow.folded_forward = folded
+    if skip_category_memory:
+        fast.encoder.skip_category_memory_update = slow.encoder.skip_category_memory_update = True
     fast_counts, slow_counts = OpCounters(), OpCounters()
     stream = SplitMix64(seed)
     for _ in range(steps):
@@ -271,6 +276,52 @@ def test_sgd_step_matches_loop_oracle_byte_for_byte(
 def test_sgd_step_matches_loop_oracle_at_65536_categories(kind, folded):
     config = NetworkConfig(encoder_kind=kind, n_categories=65536, n_numeric=2, k=3, hidden=(5, 3, 1), seed=65536)
     assert_trajectories_match(config, folded, steps=6, learning_rate=0.1, seed=3)
+
+
+@pytest.mark.parametrize("n_categories", [1, 2, 37, 1024])
+@pytest.mark.parametrize("folded", [False, True])
+def test_sgd_step_with_the_fault_hook_matches_loop_oracle(n_categories, folded):
+    # The one scatter must leave out the category memory row, as the loop does.
+    config = NetworkConfig(encoder_kind="augmented", n_categories=n_categories, n_numeric=2, k=4,
+                           hidden=(3, 1), seed=n_categories)
+    assert_trajectories_match(config, folded, steps=8, learning_rate=0.7, seed=5, skip_category_memory=True)
+
+
+@pytest.mark.parametrize("kind", ["onehot", "augmented"])
+def test_sgd_step_matches_loop_oracle_at_the_stream_benchmark_shape(kind):
+    # The sgd-stream benchmark's nets: N=65536, K=32, 3 numerics, hidden (8, 1).
+    config = NetworkConfig(encoder_kind=kind, n_categories=65536, n_numeric=3, k=32, hidden=(8, 1), seed=11)
+    assert_trajectories_match(config, folded=False, steps=4, learning_rate=0.1, seed=12)
+
+
+PLAIN_ACTIVATIONS = {
+    Activation.IDENTITY: (lambda z: z.copy(), lambda z, a: np.ones_like(z)),
+    Activation.SIGMOID: (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
+    Activation.TANH: (np.tanh, lambda z, a: 1.0 - a * a),
+    Activation.RELU: (lambda z: np.maximum(z, 0.0), lambda z, a: np.where(z > 0.0, 1.0, 0.0)),
+}
+
+# +-0.0, +-inf, NaN of both signs, subnormals, the normal edge, |z| > 710
+# (where exp overflows), and values where the sigmoid rounds to 0 or 1.
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                     2.2250738585072014e-308, 709.7, -709.7, 710.5, -710.5, 745.2, -745.2, 1e300,
+                     -1e300, 36.8, -36.8, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("shape", [(23,), (1, 23), (23, 1), (46, 3)])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_activation_matches_plain_expressions_byte_for_byte(activation, shape):
+    draws = SplitMix64(len(shape)).symmetric_array((int(np.prod(shape)),), 40.0)
+    draws[: _SPECIAL.size] = _SPECIAL
+    z = draws.reshape(shape)
+    plain_apply, plain_derivative = PLAIN_ACTIVATIONS[activation]
+    a = activation.apply(z)
+    assert a.tobytes() == plain_apply(z).tobytes()
+    assert not np.shares_memory(a, z)
+    assert activation.derivative(z, a).tobytes() == plain_derivative(z, a).tobytes()
+    strided = np.repeat(z, 2, axis=-1)[..., ::2]  # not contiguous
+    assert activation.apply(strided).tobytes() == plain_apply(strided).tobytes()
 
 
 def _negative_zero_encoder(kind):
