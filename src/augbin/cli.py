@@ -18,6 +18,7 @@ verify still appends its single identity output unit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -85,7 +86,12 @@ def _widths(text: str) -> tuple[int, ...]:
     return widths
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use, not at import.
+
+    ``parse_args`` leaves a parser as it found it, so every call can share it.
+    """
     parser = _Parser(prog="augbin", description="Augmented binary encoding toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -400,10 +406,15 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code instead of raising.
+
+    numpy's floating-point warnings are off for the whole command: every
+    check that matters raises ``NumericError``, which prints one line.
+    """
     try:
-        command, options = _parse_options(argv)
-        return _HANDLERS[command](options)
+        with np.errstate(all="ignore"):
+            command, options = _parse_options(argv)
+            return _HANDLERS[command](options)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else int(exc.code)
     except (InvalidArgumentError, RangeError) as err:

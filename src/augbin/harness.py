@@ -7,13 +7,15 @@ harness makes that concrete three ways:
 
 * build the one-hot twin and compare forward outputs directly;
 * train both networks in lockstep on one example stream and track how far
-  floating-point reordering lets them drift;
+  floating-point rounding lets them drift;
 * probe isolation: one training step must move only the trained category's
   effective contribution, and by exactly the applied step vector.
 
-Equality is exact in real arithmetic; in float64 the two models sum the same
-terms in different orders, so every check carries an explicit tolerance and
-the lockstep drift gets a growth budget rather than a fixed bound.
+Both forwards sum the whole category term first, so a freshly built twin's
+outputs equal the augmented network's bit for bit.  Training then subtracts
+each step from one one-hot row but from three augmented families, which
+round differently; so every check carries an explicit tolerance and the
+lockstep drift gets a growth budget rather than a fixed bound.
 """
 
 from __future__ import annotations

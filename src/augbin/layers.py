@@ -3,7 +3,8 @@
 Every encoder derives from :class:`Encoder` and keeps one contract:
 
     forward(category, numerics, counters=None)       -> pre-activation (K,)
-    forward_batch(categories, numerics)               -> (B, K), row r == forward(...)
+    plan_batch(categories, numerics)                  -> BatchPlan of B rows
+    forward_batch(plan)                               -> (B, K), row r == forward(...)
     apply_update(category, numerics, delta, counters=None)
     all_contributions()                               -> (N, K), row c-1 == effective_contribution(c)
     effective_contribution(category)                  -> (K,), reference for all_contributions
@@ -16,15 +17,16 @@ the one list of encoder kinds.
 
 The base owns what the three share: input validation, ``k``,
 ``n_numeric``, the named parameter arrays (``params``) and their count,
-the numeric terms of the forward pass, and the numeric-then-bias update.
-``_BitEncoder`` adds what binary and augmented share: the bit width, the
-distinct categories of a batch and their bits, the batched bit-row sum, the
-table of every category's bit-row sum, and the seeded draws of a fresh
-layer.  A concrete encoder supplies ``kind``, its array fields (every
+batch plans, the batched forward, the numeric terms of the forward pass, and
+the numeric-then-bias update.  ``_BitEncoder`` adds what binary and
+augmented share: the bit width, the bits a plan keeps, the batched bit-row
+sum, the table of every category's bit-row sum, and the seeded draws of a
+fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
 ``np.ndarray`` field is a trained parameter), ``n_categories``, validation
-of its own categorical arrays, and defines ``forward``, ``apply_update``,
-``effective_contribution`` and ``all_contributions`` itself, so that each
-method can be patched on its own class.
+of its own categorical arrays, ``_category_rows`` for the batched forward,
+and defines ``forward``, ``apply_update``, ``effective_contribution`` and
+``all_contributions`` itself, so that each method can be patched on its own
+class.
 
 ``delta`` is the per-neuron step ``lr * dLoss/dz_k`` computed once by the
 engine and consumed verbatim by every parameter family an encoder owns.
@@ -42,14 +44,19 @@ per-category reference that ``all_contributions`` must equal bit for bit,
 and only the tests call it.
 
 Evaluation order is normative and load-bearing for cross-implementation
-equality, and each ``forward`` spells it out: categorical terms in ascending
-bit/row order, then numeric terms in ascending feature order, then bias,
-then the memory corrections.  Every accumulation below runs in ascending
-index order with one accumulator per output neuron.
+equality, and each ``forward`` spells it out: first the whole category term,
+exactly as ``effective_contribution`` sums it (one-hot: its row; binary: the
+bit rows ascending; augmented: the bit rows ascending, the category memory,
+then the bit memories subtracted ascending), then the numeric terms in
+ascending feature order, then the bias.  So a one-hot layer whose rows are
+an augmented layer's contributions computes the augmented forward bit for
+bit.  ``forward_folded`` keeps its own grouping: bit rows, numeric terms,
+then the bias with the memories folded into it.  Every accumulation below
+runs in ascending index order with one accumulator per output neuron.
 
 The per-example methods, which are the training step, are array-form: each
-stacks its terms in that order (gathered bit rows, numeric terms, bias,
-category memory, negated bit-memory rows) and adds them with one
+stacks its terms in that order (gathered bit rows, category memory, negated
+bit-memory rows, numeric terms, bias) and adds them with one
 :func:`ordered_sum`, a sequential ``np.add.accumulate`` plus +0.0, which
 equals the loop of one ``+=`` per term from zeros bit for bit (``a - b`` is
 ``a + (-b)`` exactly in IEEE arithmetic); no pairwise reduction (``np.sum``)
@@ -66,18 +73,21 @@ forward gathers them with one ``take`` and negates the bit-memory block,
 and the update is one ``buffer[rows] -= delta``.  The rows are distinct,
 so each entry gets one subtraction.
 
-``forward_batch`` (and ``forward_batch_folded`` on the augmented encoder)
-evaluates B rows at once for loss evaluation.  What depends on the category
-alone, the bit-row sums and the folded path's adjusted bias, it builds once
-per distinct category of the batch (U <= min(B, N) rows) and gathers to the
-B rows.  Its bit-memory pass gathers one row per bit for every row, and a
-zero bit picks a +0.0 pad row, whose subtraction leaves the row exactly as
-it was.  ``all_contributions`` evaluates every category's contribution at
-once for the harness, building the bit-row sums of categories 0..N by
-doubling.  Both keep that order for every row, applying a bit's row only
-where the bit is set, so each row equals the per-example method bit for
-bit.  They count no operations: the counters describe training steps.  The
-per-example methods stay the training path.
+Batched evaluation is one-hot evaluation for every kind.  ``plan_batch``
+checks B inputs once and keeps what depends on the categories alone: the
+U <= min(B, N) distinct categories, each row's index among them and, for a
+bit encoder, their bits (:class:`BatchPlan`).  ``forward_batch(plan)``, on
+the base, builds the category term of each distinct category
+(``_category_rows``: a one-hot row, or a masked bit-row sum, plus for
+augmented the category memory and the masked bit-memory subtractions),
+gathers those U rows to the B rows and adds the numeric terms and the bias.
+``forward_batch_folded`` builds the folded path's adjusted bias per distinct
+category the same way.  ``all_contributions`` evaluates every category's
+contribution at once for the harness, building the bit-row sums of
+categories 0..N by doubling.  Each keeps the order above for every row,
+applying a bit's row only where the bit is set, so each row equals the
+per-example method bit for bit.  They count no operations: the counters
+describe training steps.  The per-example methods stay the training path.
 """
 
 from __future__ import annotations
@@ -133,6 +143,35 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
     if not terms.shape[0]:
         return np.zeros(terms.shape[1:])
     return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that refuses writes; ``arr`` itself stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """B inputs checked once against an encoder's shape, with the category-only work done.
+
+    ``ids`` (B,) int64 and ``numerics`` (B, d) float are the checked inputs.
+    ``distinct`` holds the U <= min(B, N) distinct categories, ascending,
+    ``inverse`` each row's index among them, and ``bits`` their (U, width)
+    bits for a bit encoder (None for one-hot).  ``key`` is what the plan was
+    built for: N, d and a bit encoder's width.  Nothing here depends on
+    parameters, so one plan serves every evaluation of its batch while the
+    encoder trains.  Build it with :meth:`Encoder.plan_batch`; its arrays are
+    read-only views.
+    """
+
+    key: tuple[int, ...]
+    ids: np.ndarray
+    numerics: np.ndarray
+    distinct: np.ndarray
+    inverse: np.ndarray
+    bits: np.ndarray | None
 
 
 class Encoder:
@@ -202,6 +241,39 @@ class Encoder:
             )
         return ids, x
 
+    def _plan_key(self) -> tuple[int, ...]:
+        """What a plan must be built for to serve this encoder: N and d."""
+        return (self.n_categories, self.n_numeric)
+
+    def _plan_bits(self, distinct: np.ndarray) -> np.ndarray | None:
+        """The bits a plan keeps of its distinct categories; one-hot keeps none."""
+        return None
+
+    def plan_batch(self, categories, numerics) -> BatchPlan:
+        """Check B inputs once, (B,) ids and (B, d) numerics, and plan their category-only work."""
+        ids, x = self._check_batch(categories, numerics)
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        bits = self._plan_bits(distinct)
+        return BatchPlan(
+            self._plan_key(),
+            *(_read_only(arr) for arr in (ids, x, distinct, inverse)),
+            None if bits is None else _read_only(bits),
+        )
+
+    def _check_plan(self, plan: BatchPlan) -> None:
+        if plan.key != self._plan_key():
+            raise InvalidArgumentError(f"plan built for {plan.key}, this encoder needs {self._plan_key()}")
+
+    def forward_batch(self, plan: BatchPlan) -> np.ndarray:
+        """:meth:`forward` of the plan's B rows at once, bit for bit: (B, K) out.
+
+        The category term is built once per distinct category and gathered
+        to the rows; the numeric terms and the bias follow, as in ``forward``.
+        """
+        self._check_plan(plan)
+        z = np.take(self._category_rows(plan), plan.inverse, axis=0)
+        return self._add_numerics_and_bias_batch(z, plan.numerics, self.bias)
+
     def _numeric_terms(self, x: np.ndarray) -> np.ndarray:
         """(d, K) numeric terms, row j = ``num_weights[j] * x[j]``."""
         return self.num_weights * x[:, None]
@@ -254,10 +326,8 @@ class OneHotLayer(Encoder):
             counters.encoding_madds_sparse += self.k
         return z
 
-    def forward_batch(self, categories, numerics) -> np.ndarray:
-        """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
-        ids, x = self._check_batch(categories, numerics)
-        return self._add_numerics_and_bias_batch(self.cat_weights[ids - 1], x, self.bias)
+    def _category_rows(self, plan: BatchPlan) -> np.ndarray:
+        return self.cat_weights[plan.distinct - 1]
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         x = self._check_example(category, numerics)
@@ -320,17 +390,14 @@ class _BitEncoder(Encoder):
             np.add(table[: high - low], self.bit_weights[h], out=table[low:high])
         return table
 
-    def _distinct_bits(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The batch's U distinct categories, each row's index among them, and their (U, width) bits.
+    def _plan_key(self) -> tuple[int, ...]:
+        return (*super()._plan_key(), self.width)
 
-        Work that depends on the category alone runs on these U <= min(B, N)
-        rows; ``np.take(..., inverse, axis=0)`` gathers it to the B rows.
-        """
-        distinct, inverse = np.unique(ids, return_inverse=True)
-        return distinct, inverse, bit_matrix(distinct, self.width)
+    def _plan_bits(self, distinct: np.ndarray) -> np.ndarray:
+        return bit_matrix(distinct, self.width)
 
     def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Categorical term of each row of ``bits``: it adds the weight rows of its one-bits, ascending.
+        """Bit-row sum of each row of ``bits``: it adds the weight rows of its one-bits, ascending, from +0.0.
 
         The batched forwards pass the bits of the distinct categories, so each
         sum is built once per category and then gathered to the B rows.  A
@@ -378,12 +445,8 @@ class BinaryLayer(_BitEncoder):
             counters.encoding_madds_sparse += len(rows) * self.k
         return z
 
-    def forward_batch(self, categories, numerics) -> np.ndarray:
-        """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
-        ids, x = self._check_batch(categories, numerics)
-        _, inverse, bits = self._distinct_bits(ids)
-        z = np.take(self._bit_sum_batch(bits), inverse, axis=0)
-        return self._add_numerics_and_bias_batch(z, x, self.bias)
+    def _category_rows(self, plan: BatchPlan) -> np.ndarray:
+        return self._bit_sum_batch(plan.bits)
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         x = self._check_example(category, numerics)
@@ -485,23 +548,14 @@ class AugmentedBinaryLayer(_BitEncoder):
         np.negative(memories, out=memories)
         return terms, ones
 
-    def _memory_rows(self, bits: np.ndarray) -> np.ndarray:
-        """(width, U) rows for :meth:`_add_memories_batch`: i where bit i is set, ``width`` where it is not."""
-        return np.where(bits.T, np.arange(self.width)[:, None], self.width)
+    def _add_memories(self, z: np.ndarray, plan: BatchPlan) -> np.ndarray:
+        """Add each distinct category's memory to its row of ``z``, then subtract its one-bits' memories, ascending.
 
-    def _add_memories_batch(self, z: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Add each row's category memory, then subtract its one-bits' memories, ascending.
-
-        Bit i subtracts row ``rows[i]`` of ``bit_memory.T`` with a +0.0 pad row
-        stacked under it: its memory where the bit is set, the pad row where it
-        is not.  ``z - (+0.0)`` is ``z`` exactly, for +-0.0, +-inf and NaN
-        alike, so each row equals the scalar loop that skips its zero bits.
-        One bit is gathered at a time, so no (width, B, K) stack is built.
+        A masked subtract skips the zero bits, as the scalar loop does.
         """
-        z += np.take(self.cat_memory, ids - 1, axis=0)
-        table = np.vstack((self.bit_memory.T, np.zeros((1, self.k))))
+        z += self.cat_memory[plan.distinct - 1]
         for i in range(self.width):
-            z -= np.take(table, rows[i], axis=0)
+            np.subtract(z, self.bit_memory[:, i], out=z, where=plan.bits[:, i, None])
         return z
 
     def _count_forward(self, counters: OpCounters | None, ones: int) -> None:
@@ -510,10 +564,10 @@ class AugmentedBinaryLayer(_BitEncoder):
             counters.encoding_madds_sparse += (2 * ones + 1) * self.k
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        """Bit rows + numeric terms + bias + category memory - bit memories."""
+        """Bit rows + category memory - bit memories, then numeric terms, then bias."""
         x = self._check_example(category, numerics)
         terms, ones = self._step_terms(category)
-        z = ordered_sum(np.concatenate((terms[:ones], self._numeric_terms(x), self.bias[None], terms[ones:])))
+        z = ordered_sum(np.concatenate((terms, self._numeric_terms(x), self.bias[None])))
         self._count_forward(counters, ones)
         return z
 
@@ -531,25 +585,19 @@ class AugmentedBinaryLayer(_BitEncoder):
         self._count_forward(counters, ones)
         return z
 
-    def forward_batch(self, categories, numerics) -> np.ndarray:
-        """:meth:`forward` of B rows at once, bit for bit: (B,) and (B, d) in, (B, K) out."""
-        ids, x = self._check_batch(categories, numerics)
-        _, inverse, bits = self._distinct_bits(ids)
-        z = self._add_numerics_and_bias_batch(np.take(self._bit_sum_batch(bits), inverse, axis=0), x, self.bias)
-        return self._add_memories_batch(z, ids, self._memory_rows(bits)[:, inverse])
+    def _category_rows(self, plan: BatchPlan) -> np.ndarray:
+        return self._add_memories(self._bit_sum_batch(plan.bits), plan)
 
-    def forward_batch_folded(self, categories, numerics) -> np.ndarray:
-        """:meth:`forward_folded` of B rows at once, bit for bit.
+    def forward_batch_folded(self, plan: BatchPlan) -> np.ndarray:
+        """:meth:`forward_folded` of the plan's B rows at once, bit for bit.
 
         The adjusted bias depends on the category alone, so it is built once
         per distinct category and gathered, as the bit sums are.
         """
-        ids, x = self._check_batch(categories, numerics)
-        distinct, inverse, bits = self._distinct_bits(ids)
-        adjusted = np.tile(self.bias, (distinct.shape[0], 1))
-        adjusted = self._add_memories_batch(adjusted, distinct, self._memory_rows(bits))
-        z = np.take(self._bit_sum_batch(bits), inverse, axis=0)
-        return self._add_numerics_and_bias_batch(z, x, np.take(adjusted, inverse, axis=0))
+        self._check_plan(plan)
+        adjusted = self._add_memories(np.tile(self.bias, (plan.distinct.shape[0], 1)), plan)
+        z = np.take(self._bit_sum_batch(plan.bits), plan.inverse, axis=0)
+        return self._add_numerics_and_bias_batch(z, plan.numerics, np.take(adjusted, plan.inverse, axis=0))
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         """Subtract the same delta from bit rows, category memory, bit memory, in one scatter.

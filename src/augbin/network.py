@@ -26,10 +26,17 @@ keep those loops as oracles.
 Evaluation (:func:`mean_loss`, :meth:`Network.predict_batch`) is batched over
 rows: each layer runs once on a (B, width) array instead of once per row.
 The batch axis is the only new axis; every element is still accumulated in
-the per-example order (category term, numerics, bias, memories; dense fan-in
+the per-example order (the whole category term, numerics, bias; dense fan-in
 ascending; output columns ascending; rows summed left to right), so the
 batched loss equals the one-row-at-a-time loop bit for bit.  That loop,
 ``predict`` plus ``mse_loss`` per row, is kept in the tests as the oracle.
+
+A batch is checked and planned once: :func:`plan_loss` turns a
+:class:`Batch` into a :class:`LossPlan`, the encoder's
+:class:`~augbin.layers.BatchPlan` (checked int64 ids, numerics, distinct
+categories, inverse, bits) plus the targets.  It depends on the batch and on
+the encoder's shape, never on parameters, so :func:`run_sgd` builds one and
+hands it to each of its ``steps + 1`` :func:`mean_loss` calls.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import ENCODERS, AugmentedBinaryLayer, Encoder, category_index, ordered_sum
+from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, category_index, ordered_sum
 from .rng import SplitMix64
 
 
@@ -245,10 +252,14 @@ class Network:
 
         Row r equals ``predict(categories[r], numerics[r])`` bit for bit.
         """
+        return self.predict_plan(self.encoder.plan_batch(categories, numerics))
+
+    def predict_plan(self, plan: BatchPlan) -> np.ndarray:
+        """:meth:`predict_batch` of a batch the encoder has planned."""
         if self.folded_forward and isinstance(self.encoder, AugmentedBinaryLayer):
-            z = self.encoder.forward_batch_folded(categories, numerics)
+            z = self.encoder.forward_batch_folded(plan)
         else:
-            z = self.encoder.forward_batch(categories, numerics)
+            z = self.encoder.forward_batch(plan)
         if not np.isfinite(z).all():
             raise NumericError("non-finite encoder pre-activation")
         a = self.encoder_activation.apply(z)
@@ -399,21 +410,38 @@ def stack_examples(examples) -> Batch:
     )
 
 
-def mean_loss(network: Network, examples) -> float:
-    """Mean MSE over (category, numerics, target) triples, in row order.
+@dataclass(frozen=True)
+class LossPlan:
+    """A :class:`Batch` checked once against a network's encoder, for :func:`mean_loss`.
 
-    ``examples`` is an iterable of triples or a :class:`Batch`.  All rows go
-    through :meth:`Network.predict_batch` at once; the per-row MSE sums the
-    output columns in ascending order and the rows are summed strictly left
-    to right, as the one-row-at-a-time loop does.
+    ``inputs`` is the encoder's plan of the rows, ``targets`` the (B, w) targets.
     """
+
+    inputs: BatchPlan
+    targets: np.ndarray
+
+
+def plan_loss(network: Network, examples) -> LossPlan:
+    """Check and plan ``examples``, a :class:`Batch` or (category, numerics, target) triples."""
     batch = examples if isinstance(examples, Batch) else stack_examples(examples)
     if not len(batch.categories):
         raise InvalidArgumentError("no examples")
-    outputs = network.predict_batch(batch.categories, batch.numerics)
-    if outputs.shape != batch.targets.shape:
+    return LossPlan(network.encoder.plan_batch(batch.categories, batch.numerics), batch.targets)
+
+
+def mean_loss(network: Network, examples) -> float:
+    """Mean MSE over (category, numerics, target) triples, in row order.
+
+    ``examples`` is an iterable of triples, a :class:`Batch` or a
+    :class:`LossPlan`.  All rows go through :meth:`Network.predict_plan` at
+    once; the per-row MSE sums the output columns in ascending order and the
+    rows are summed strictly left to right, as the one-row-at-a-time loop does.
+    """
+    plan = examples if isinstance(examples, LossPlan) else plan_loss(network, examples)
+    outputs = network.predict_plan(plan.inputs)
+    if outputs.shape != plan.targets.shape:
         raise InvalidArgumentError("output and target shapes differ")
-    diff = outputs - batch.targets
+    diff = outputs - plan.targets
     row_losses = np.zeros(outputs.shape[0])
     for j in range(outputs.shape[1]):
         row_losses += diff[:, j] * diff[:, j]
@@ -435,13 +463,14 @@ def run_sgd(
     ``examples`` is a :class:`Batch` or an iterable of (category, numerics,
     target) triples, which is stacked into one.  Step ``s`` trains on row
     ``s % B`` of the batch.  Returns the mean batch loss before training and
-    after every step (length steps + 1), each one batched pass.
+    after every step (length steps + 1), each one batched pass over the one
+    :class:`LossPlan` built here.
     """
-    batch = examples if isinstance(examples, Batch) else stack_examples(examples)
-    losses = [mean_loss(network, batch)]
+    plan = plan_loss(network, examples)
+    ids, numerics = plan.inputs.ids, plan.inputs.numerics
+    losses = [mean_loss(network, plan)]
     for step in range(config.steps):
-        row = step % len(batch.categories)
-        network.sgd_step(int(batch.categories[row]), batch.numerics[row], batch.targets[row],
-                         config.learning_rate, counters)
-        losses.append(mean_loss(network, batch))
+        row = step % len(ids)
+        network.sgd_step(int(ids[row]), numerics[row], plan.targets[row], config.learning_rate, counters)
+        losses.append(mean_loss(network, plan))
     return losses

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, config merging."""
 
 import json
+import warnings
 
 import pytest
 
@@ -16,6 +17,7 @@ from augbin.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     _bench_schedule,
+    _build_parser,
     _parse_options,
     run,
 )
@@ -465,3 +467,54 @@ def test_bad_hidden_flag(dataset_path):
     code = run(["train", "--data", str(dataset_path), "--encoding", "onehot",
                 "--hidden", "8,x"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind", ["onehot", "binary", "augmented"])
+def test_train_overflow_prints_one_line_and_no_warning(kind, dataset_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["train", "--data", str(dataset_path), "--encoding", kind, "--lr", "1e308",
+                    "--steps", "3", "--hidden", "8"])
+    assert code == EXIT_FAIL
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("augbin: non-finite"), lines
+
+
+def _cli_session(tmp_path, capsys, fresh):
+    """(exit code, stdout, stderr, output bytes) of a run of mixed commands in one process.
+
+    ``fresh`` builds a new parser for every command, as before the parser was shared.
+    """
+    data, config = tmp_path / "data.csv", tmp_path / "config.json"
+    config.write_text(json.dumps({"data": str(data), "encoding": "binary", "steps": 4, "hidden": [3],
+                                  "report": str(tmp_path / "config-train.json")}))
+    commands = [
+        (["gen", "--seed", "3", "--categories", "6", "--rows", "40", "--out", str(data)], data),
+        (["train", "--data", str(data), "--encoding", "augmented", "--hidden", "4", "--steps", "5",
+          "--report", str(tmp_path / "train.json")], tmp_path / "train.json"),
+        (["train", "--config", str(config), "--steps", "6"], tmp_path / "config-train.json"),
+        (["train", "--data", str(data), "--encoding", "ternary"], None),
+        (["--help"], None),
+        (["verify", "--categories", "9", "--steps", "5", "--report", str(tmp_path / "verify.json")],
+         tmp_path / "verify.json"),
+    ]
+    results = []
+    for argv, output in commands:
+        if fresh:
+            _build_parser.cache_clear()
+        code = run(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err, output.read_bytes() if output else None))
+        if output is not None and output != data:  # the later commands read the data
+            output.unlink()
+    return results
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    _build_parser.cache_clear()
+    shared = _cli_session(tmp_path, capsys, fresh=False)
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, *_ in shared] == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_USAGE, EXIT_PASS, EXIT_PASS]
+    assert "ternary" in shared[3][2]
+    assert shared == _cli_session(tmp_path, capsys, fresh=True)

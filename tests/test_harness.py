@@ -238,6 +238,23 @@ def test_twin_agreement_on_fresh_and_trained_networks():
     assert twin_forward_max_diff(build_onehot_twin(net), probes) <= 1e-12
 
 
+@pytest.mark.parametrize("n_categories", [1, 2, 3, 37, 1024])
+def test_twin_is_exact_right_after_construction(n_categories):
+    # The augmented forward sums its whole category term first, which is the
+    # twin's row bit for bit; only the updates round differently afterwards.
+    net = _aug_net(seed=n_categories, n_categories=n_categories, hidden=(5, 1))
+    probes = probe_inputs(n_categories + 1, n_categories, 2, 200)
+    for steps in (0, 300):
+        for category, numerics, target in synthetic_stream(n_categories + 2, n_categories, 2, 1, steps):
+            net.sgd_step(category, numerics, target, 0.1)
+        pair = build_onehot_twin(net)
+        assert twin_forward_max_diff(pair, probes) == 0.0
+        for category, numerics in probes:
+            assert pair.augmented.predict(category, numerics).tobytes() == pair.onehot.predict(
+                category, numerics
+            ).tobytes()
+
+
 def test_lockstep_zero_steps_gives_empty_trace():
     pair = build_onehot_twin(_aug_net())
     trace = lockstep_train(pair, [], SgdConfig(0.1, 0))

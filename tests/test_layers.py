@@ -21,7 +21,6 @@ from augbin import (
     OpCounters,
     RangeError,
     SplitMix64,
-    bit_matrix,
     bit_width,
     build_network,
     contributions_matrix,
@@ -507,7 +506,7 @@ def test_augmented_params_and_count_leave_out_the_buffer():
 
 
 def _filled_bit_layer(kind, n_categories, k=3, n_numeric=2, seed=0):
-    """A bit encoder whose every parameter, memories included, is a non-zero draw."""
+    """An encoder whose every parameter, memories included, is a non-zero draw."""
     layer = ENCODERS[kind].fresh(n_categories, n_numeric, k, SplitMix64(seed))
     stream = SplitMix64(seed + 1)
     for _, array in layer.params():
@@ -530,7 +529,9 @@ _BATCHES = {
 
 
 @pytest.mark.parametrize("batch", tuple(_BATCHES))
-@pytest.mark.parametrize("kind, folded", [("binary", False), ("augmented", False), ("augmented", True)])
+@pytest.mark.parametrize(
+    "kind, folded", [("onehot", False), ("binary", False), ("augmented", False), ("augmented", True)]
+)
 def test_forward_batch_rows_equal_forward_bit_for_bit(kind, folded, batch):
     n_categories, ids = _BATCHES[batch]
     layer = _filled_bit_layer(kind, n_categories)
@@ -538,13 +539,13 @@ def test_forward_batch_rows_equal_forward_bit_for_bit(kind, folded, batch):
     batched, single = (
         (layer.forward_batch_folded, layer.forward_folded) if folded else (layer.forward_batch, layer.forward)
     )
-    z = batched(ids, x)
+    z = batched(layer.plan_batch(ids, x))
     assert z.shape == (len(ids), layer.k)
     for row, category in enumerate(ids):
         assert z[row].tobytes() == single(int(category), x[row]).tobytes()
 
 
-def test_memory_pass_keeps_negative_zero_rows_through_the_pad_row():
+def test_memory_pass_keeps_negative_zero_rows():
     # Every forward sum starts from +0.0, so its output cannot show the sign
     # of a zero; the folded path's adjusted bias starts from the bias itself.
     layer = _filled_bit_layer("augmented", 11)
@@ -553,14 +554,42 @@ def test_memory_pass_keeps_negative_zero_rows_through_the_pad_row():
     layer.bit_memory[:] = 0.0
     ids = np.arange(1, 12)
     x = np.zeros((11, layer.n_numeric))
+    plan = layer.plan_batch(ids, x)
     for batched, single in ((layer.forward_batch, layer.forward), (layer.forward_batch_folded, layer.forward_folded)):
-        z = batched(ids, x)
+        z = batched(plan)
         for row, category in enumerate(ids):
             assert z[row].tobytes() == single(int(category), x[row]).tobytes()
-    # -0.0 - (+0.0) is -0.0: a zero bit leaves the row as it was.
-    rows = layer._memory_rows(bit_matrix(ids, layer.width))
-    adjusted = layer._add_memories_batch(np.tile(layer.bias, (11, 1)), ids, rows)
+    # -0.0 - (+0.0) is -0.0, and a zero bit's masked subtract leaves the row as it was.
+    adjusted = layer._add_memories(np.tile(layer.bias, (11, 1)), plan)
     assert np.signbit(adjusted).all() and not adjusted.any()
+
+
+def test_plan_serves_only_the_shape_it_was_built_for():
+    onehot = OneHotLayer.fresh(11, 2, 3, SplitMix64(1))
+    binary, augmented = (ENCODERS[kind].fresh(11, 2, 3, SplitMix64(1)) for kind in ("binary", "augmented"))
+    x = np.zeros((2, 2))
+    shared = binary.plan_batch([3, 9], x)
+    assert augmented.forward_batch(shared).shape == (2, 3)  # same N, d and width
+    for encoder, plan in (
+        (onehot, shared),
+        (binary, onehot.plan_batch([3, 9], x)),
+        (binary, BinaryLayer.fresh(12, 2, 3, SplitMix64(1)).plan_batch([3, 9], x)),
+        (augmented, AugmentedBinaryLayer.fresh(11, 1, 3, SplitMix64(1)).plan_batch([3, 9], x[:, :1])),
+    ):
+        with pytest.raises(InvalidArgumentError, match="plan built for"):
+            encoder.forward_batch(plan)
+
+
+def test_plan_is_read_only_and_leaves_the_callers_arrays_writable():
+    layer = AugmentedBinaryLayer.fresh(11, 2, 3, SplitMix64(1))
+    ids, x = np.array([3, 9, 3]), np.zeros((3, 2))
+    plan = layer.plan_batch(ids, x)
+    assert plan.distinct.tolist() == [3, 9] and plan.inverse.tolist() == [0, 1, 0]
+    assert plan.bits.tolist() == [[True, True, False, False], [True, False, False, True]]
+    for name in ("ids", "numerics", "distinct", "inverse", "bits"):
+        with pytest.raises(ValueError):
+            getattr(plan, name)[0] = 1
+    ids[0], x[0, 0] = 4, 1.0  # the caller's arrays stay writable
 
 
 @pytest.mark.parametrize(
@@ -576,10 +605,11 @@ def test_batched_forward_builds_no_table_or_stack(batch, k, n_categories, bound)
     ids = below_draws(SplitMix64(5).next_u64_block(batch), n_categories) + 1
     x = SplitMix64(6).symmetric_array((batch, 3), 1.0)
     for method in (augmented.forward_batch, augmented.forward_batch_folded, binary.forward_batch):
-        method(ids, x)
+        encoder = method.__self__
+        method(encoder.plan_batch(ids, x))
         tracemalloc.start()
         try:
-            method(ids, x)
+            method(encoder.plan_batch(ids, x))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

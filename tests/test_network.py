@@ -28,7 +28,7 @@ from augbin import (
 )
 from augbin.gradcheck import analytic_gradients
 from augbin.network import Batch
-from augbin.layers import ENCODERS
+from augbin.layers import ENCODERS, Encoder
 
 
 def scalar_mean_loss(network, examples):
@@ -254,6 +254,27 @@ def test_run_sgd_calls_mean_loss_by_module_name(monkeypatch):
     run_sgd(build_network(_config()), examples, SgdConfig(0.1, 5))
     assert len(calls) == 5 + 1
     assert "mean_loss" in vars(augbin.cli)
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_run_sgd_checks_and_plans_its_batch_once(kind, monkeypatch):
+    counts = {"check": 0, "unique": 0}
+    check, unique = Encoder._check_batch, np.unique
+
+    def counting_check(self, *args):
+        counts["check"] += 1
+        return check(self, *args)
+
+    def counting_unique(*args, **kwargs):
+        counts["unique"] += 1
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "_check_batch", counting_check)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    examples = list(synthetic_stream(3, 11, 2, 1, 9))
+    losses = run_sgd(build_network(_config(kind)), examples, SgdConfig(0.1, 7))
+    assert len(losses) == 7 + 1
+    assert counts == {"check": 1, "unique": 1}
 
 
 def test_run_sgd_zero_steps_reports_initial_loss_only():

@@ -3,10 +3,15 @@
 ``perfbench/spans.py`` patches each ``(owner, attr)`` of ``PATCH_TABLE`` by
 reading ``owner.__dict__[attr]``.  A refactor that drops or moves one of
 those names would otherwise surface only as a ``KeyError`` in a traced
-benchmark run.
+benchmark run, so a traced run of two workloads is smoke-tested here too.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -23,3 +28,33 @@ def test_every_patched_name_is_in_its_owner_dict():
     assert table
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in table if attr not in vars(owner)]
     assert missing == []
+
+
+# The benchmark's yardstick takes its first pass 10 ms into a timed unit, and
+# a traced train-eval run times only two units per variant.  A `train` that
+# finishes within 10 ms both times leaves that variant without a pass, and
+# the run stops on this error before it reports.  That is a defect of the
+# benchmark's sampling, not of the program; it alone earns a rerun.
+_NO_YARDSTICK_PASS = "fmean requires at least one data point"
+
+
+def _traced_run(workload):
+    command = [sys.executable, str(SPANS.parent / "run.py"), "--workload", workload, "--seed", "0",
+               "--seconds", "0", "--trace", "1"]
+    for _ in range(3):
+        run = subprocess.run(command, capture_output=True, text=True, timeout=300)
+        if _NO_YARDSTICK_PASS not in run.stderr:
+            break
+    return run
+
+
+@pytest.mark.parametrize("workload", ["train-eval", "verify"])
+def test_traced_benchmark_run_exits_clean(workload):
+    # A traced run installs every patch of the table and checks the
+    # program's outputs; a renamed attribute or a failed check shows here.
+    run = _traced_run(workload)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, run.stderr
+    if workload == "train-eval":  # 2 traced rounds of 2 trains, 4 steps: 5 losses each
+        assert result["metrics"]["network.mean_loss.calls"]["value"] == 20

@@ -134,10 +134,11 @@ def _count_augmented_forward(self, counters, ones):
 
 
 def loop_augmented_forward(self, category, numerics=(), counters=None):
+    """The whole category term first (bit rows, category memory, bit memories), then numerics, then bias."""
     x = self._check_example(category, numerics)
     positions = _positions(self, category)
-    z = _loop_numerics_and_bias(self, _loop_bit_sum(self, positions), x, self.bias)
-    z = _loop_add_memories(self, z, category, positions)
+    z = _loop_add_memories(self, _loop_bit_sum(self, positions), category, positions)
+    z = _loop_numerics_and_bias(self, z, x, self.bias)
     _count_augmented_forward(self, counters, len(positions))
     return z
 
