@@ -61,17 +61,24 @@ bit-memory rows, numeric terms, bias) and adds them with one
 equals the loop of one ``+=`` per term from zeros bit for bit (``a - b`` is
 ``a + (-b)`` exactly in IEEE arithmetic); no pairwise reduction (``np.sum``)
 or BLAS product regroups the terms.  The binary encoder gathers and updates
-its bit rows by fancy indexing.
+its bit rows by fancy indexing.  The input check hands back the category as
+a Python int, and the methods list its one-bits off that int one set bit at
+a time (``c & -c``), never in a numpy integer's own dtype, where
+``width + category - 1`` could wrap.
 
-The augmented encoder keeps its three families in one (n + N + n, K)
-buffer: the n bit-weight rows, the N category-memory rows, then the n
-bit-memory rows.  ``bit_weights``, ``cat_memory`` and ``bit_memory`` are
-views of it, ``bit_memory`` the (K, n) transpose of the last n rows, and
-construction copies the caller's arrays into it.  A step touches 2*ones+1
-of its rows, which ``_step_rows`` lists from the Python integer: the
-forward gathers them with one ``take`` and negates the bit-memory block,
-and the update is one ``buffer[rows] -= delta``.  The rows are distinct,
-so each entry gets one subtraction.
+The augmented encoder keeps every parameter in one (n + N + n + d + 1, K)
+buffer: the n bit-weight rows, the N category-memory rows, the n bit-memory
+rows, the d numeric rows, then the bias row.  ``bit_weights``,
+``cat_memory``, ``bit_memory``, ``num_weights`` and ``bias`` are views of
+it, ``bit_memory`` the (K, n) transpose of its block, and construction
+copies the caller's arrays into it.  ``_step_rows`` lists a step's rows:
+the 2*ones+1 rows of its category term, then the buffer's last rows.  The
+forward gathers the whole sum with one ``take`` of 2*ones+1+d+1 rows,
+negates the bit-memory block and scales the numeric block in place, and
+adds it with one ``ordered_sum``; nothing is concatenated.  The update
+subtracts delta from the category term's rows and the bias row in one
+gather-subtract-scatter; the numeric rows take their own ``x[j] * delta``.
+The rows are distinct, so each entry gets one subtraction.
 
 Batched evaluation is one-hot evaluation for every kind.  ``plan_batch``
 checks B inputs once and keeps what depends on the categories alone: the
@@ -129,6 +136,20 @@ def category_index(category) -> int:
         except TypeError:
             pass
     raise InvalidArgumentError(f"category must be an integer, got {category!r}")
+
+
+def _one_bits(category: int) -> list[int]:
+    """0-based positions of the one-bits of a positive Python int, ascending.
+
+    One pass per set bit (``c & -c`` is the lowest), not one per bit of the
+    width, and any width works.
+    """
+    bits = []
+    while category:
+        low = category & -category
+        bits.append(low.bit_length() - 1)
+        category -= low
+    return bits
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -202,17 +223,29 @@ class Encoder:
     def param_count(self) -> int:
         return sum(arr.size for _, arr in self.params())
 
-    def _check_category(self, category: int) -> None:
-        if not 1 <= category_index(category) <= self.n_categories:
+    def _check_category(self, category: int) -> int:
+        """Range-check a category id; returns it as a Python int, whatever integer type it came as."""
+        index = category_index(category)
+        if not 1 <= index <= self.n_categories:
             raise RangeError(f"category {category} out of 1..{self.n_categories}")
+        return index
 
-    def _check_example(self, category: int, numerics) -> np.ndarray:
-        """Validate one input; returns the numeric features as a float vector."""
-        self._check_category(category)
+    def _check_step(self, category: int, numerics) -> tuple[int, np.ndarray]:
+        """Validate one input; returns the category as a Python int and the numeric features as a float vector.
+
+        The per-example methods compute with that int, never with the
+        caller's object: a numpy integer would do their index arithmetic in
+        its own dtype, where ``width + category - 1`` can wrap.
+        """
+        index = self._check_category(category)
         x = np.asarray(numerics, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self.n_numeric:
             raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
-        return x
+        return index, x
+
+    def _check_example(self, category: int, numerics) -> np.ndarray:
+        """:meth:`_check_step`'s numeric features alone, for callers that keep their own category (the tests' reference loops)."""
+        return self._check_step(category, numerics)[1]
 
     def _check_batch(self, categories, numerics) -> tuple[np.ndarray, np.ndarray]:
         """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics.
@@ -318,7 +351,7 @@ class OneHotLayer(Encoder):
         return self.cat_weights.shape[0]
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        x = self._check_example(category, numerics)
+        category, x = self._check_step(category, numerics)
         terms = np.concatenate((self.cat_weights[category - 1 : category], self._numeric_terms(x), self.bias[None]))
         z = np.add.accumulate(terms, axis=0)[-1]  # starts from the row itself, not from +0.0
         if counters is not None:
@@ -330,7 +363,7 @@ class OneHotLayer(Encoder):
         return self.cat_weights[plan.distinct - 1]
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        x = self._check_example(category, numerics)
+        category, x = self._check_step(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
         self.cat_weights[category - 1] -= delta
         self._update_numerics_and_bias(x, delta)
@@ -338,8 +371,7 @@ class OneHotLayer(Encoder):
             counters.encoding_param_updates += self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
-        self._check_category(category)
-        return self.cat_weights[category - 1].copy()
+        return self.cat_weights[self._check_category(category) - 1].copy()
 
     def all_contributions(self) -> np.ndarray:
         return self.cat_weights.copy()
@@ -432,12 +464,12 @@ class BinaryLayer(_BitEncoder):
     def _rows(self, category: int) -> np.ndarray:
         """0-based rows of the category's one-bits, ascending: ``encode(category, width).positions`` - 1.
 
-        Read off the Python integer, so any width works; callers range-check first.
+        Callers range-check first and pass the Python int the check returns.
         """
-        return np.array([i for i in range(self.width) if category >> i & 1])
+        return np.array(_one_bits(category))
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        x = self._check_example(category, numerics)
+        category, x = self._check_step(category, numerics)
         rows = self._rows(category)
         z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), self.bias[None])))
         if counters is not None:
@@ -449,7 +481,7 @@ class BinaryLayer(_BitEncoder):
         return self._bit_sum_batch(plan.bits)
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        x = self._check_example(category, numerics)
+        category, x = self._check_step(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
         rows = self._rows(category)
         self.bit_weights[rows] -= delta
@@ -458,9 +490,7 @@ class BinaryLayer(_BitEncoder):
             counters.encoding_param_updates += len(rows) * self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
-        self._check_category(category)
-        rows = self._rows(category)
-        return ordered_sum(self.bit_weights[rows])
+        return ordered_sum(self.bit_weights[self._rows(self._check_category(category))])
 
     def all_contributions(self) -> np.ndarray:
         return self._bit_sum_table()[1:]
@@ -477,9 +507,9 @@ class AugmentedBinaryLayer(_BitEncoder):
     bits, so the net category contribution behaves as if each category owned
     a private weight row.
 
-    The three families are views of one (n + N + n, K) buffer (see the
-    module docstring); construction copies the caller's arrays into it, so
-    the layer never aliases them.  Write them in place, never rebind them.
+    Every parameter is a view of one (n + N + n + d + 1, K) buffer (see
+    the module docstring); construction copies the caller's arrays into it,
+    so the layer never aliases them.  Write them in place, never rebind them.
 
     ``skip_category_memory_update`` is a fault-injection hook for harness
     self-tests; it must stay False in real use.
@@ -500,16 +530,21 @@ class AugmentedBinaryLayer(_BitEncoder):
         super().__post_init__()
         bit_memory = _as_matrix(self.bit_memory, self.k, self.width, "bit_memory")
         n, bits_end = self.width, self.width + self.n_categories
+        memory_end = bits_end + n
         # np.zeros leaves its pages unwritten; an all +0.0 category memory (a
         # fresh layer's) is not copied, so its N x K block stays unwritten too.
-        self._buffer = np.zeros((bits_end + n, self.k))
-        self._buffer[:n] = self.bit_weights
+        buffer = self._buffer = np.zeros((memory_end + self.n_numeric + 1, self.k))
+        buffer[:n] = self.bit_weights
         if cat_memory.view(np.uint64).any():  # any bit set: not all +0.0
-            self._buffer[n:bits_end] = cat_memory
-        self._buffer[bits_end:] = bit_memory.T
-        self.bit_weights = self._buffer[:n]
-        self.cat_memory = self._buffer[n:bits_end]
-        self.bit_memory = self._buffer[bits_end:].T
+            buffer[n:bits_end] = cat_memory
+        buffer[bits_end:memory_end] = bit_memory.T
+        buffer[memory_end:-1] = self.num_weights
+        buffer[-1] = self.bias
+        self.bit_weights = buffer[:n]
+        self.cat_memory = buffer[n:bits_end]
+        self.bit_memory = buffer[bits_end:memory_end].T
+        self.num_weights = buffer[memory_end:-1]
+        self.bias = buffer[-1]
 
     @classmethod
     def _from_draws(cls, n_categories: int, **arrays) -> "AugmentedBinaryLayer":
@@ -523,29 +558,38 @@ class AugmentedBinaryLayer(_BitEncoder):
     def n_categories(self) -> int:
         return self.cat_memory.shape[0]
 
-    def _step_rows(self, category: int, with_category: bool = True) -> np.ndarray:
-        """Buffer rows of one step: the one-bits' weight rows, the category memory row, the one-bits' memory rows.
+    def _step_rows(self, category: int, tail: int, with_category: bool = True) -> np.ndarray:
+        """Buffer rows of one step, each block ascending.
 
-        Each block ascends.  Read off the Python integer, so any width works;
-        callers range-check first.
+        The one-bits' weight rows, the category memory row, the one-bits'
+        memory rows, then the buffer's last ``tail`` rows: the numeric rows
+        and the bias row, or the bias row alone.  Callers range-check first
+        and pass the Python int the check returns.
         """
         width = self.bit_weights.shape[0]
-        memory = self._buffer.shape[0] - width  # the first bit-memory row
-        bits = [i for i in range(width) if category >> i & 1]
-        rows = bits + ([width + category - 1] if with_category else []) + [memory + i for i in bits]
+        memory = width + self.cat_memory.shape[0]  # the first bit-memory row
+        end = self._buffer.shape[0]
+        bits = _one_bits(category)
+        category_row = [width + category - 1] if with_category else []
+        rows = [*bits, *category_row, *[memory + i for i in bits], *range(end - tail, end)]
         return np.fromiter(rows, np.intp, len(rows))
 
-    def _step_terms(self, category: int) -> tuple[np.ndarray, int]:
-        """The step's rows in one gather, with the bit-memory block negated; and the number of one-bits.
+    def _step_terms(self, category: int, x: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """The step's terms in one gather, and the number of one-bits.
 
-        Rows: the one-bits' weight rows, the category memory row, then the
-        negated memory of each one-bit.  The caller owns the array.
+        Rows: the one-bits' weight rows, the category memory row, the
+        negated memory of each one-bit and, given the numeric features
+        ``x``, the numeric terms ``num_weights[j] * x[j]`` and the bias.
+        The caller owns the array.
         """
-        rows = self._step_rows(category)
-        ones = len(rows) // 2
-        terms = self._buffer.take(rows, axis=0)
-        memories = terms[ones + 1 :]
+        ones = category.bit_count()
+        tail = 0 if x is None else x.shape[0] + 1
+        terms = self._buffer.take(self._step_rows(category, tail), axis=0)
+        memories = terms[ones + 1 : 2 * ones + 1]
         np.negative(memories, out=memories)
+        if x is not None:
+            numeric = terms[2 * ones + 1 : -1]
+            numeric *= x[:, None]
         return terms, ones
 
     def _add_memories(self, z: np.ndarray, plan: BatchPlan) -> np.ndarray:
@@ -565,9 +609,9 @@ class AugmentedBinaryLayer(_BitEncoder):
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         """Bit rows + category memory - bit memories, then numeric terms, then bias."""
-        x = self._check_example(category, numerics)
-        terms, ones = self._step_terms(category)
-        z = ordered_sum(np.concatenate((terms, self._numeric_terms(x), self.bias[None])))
+        category, x = self._check_step(category, numerics)
+        terms, ones = self._step_terms(category, x)
+        z = ordered_sum(terms)
         self._count_forward(counters, ones)
         return z
 
@@ -577,11 +621,11 @@ class AugmentedBinaryLayer(_BitEncoder):
         Agrees with :meth:`forward` to within accumulated rounding noise
         (budgeted at 1e-12 absolute per component).
         """
-        x = self._check_example(category, numerics)
-        terms, ones = self._step_terms(category)
+        category, x = self._check_step(category, numerics)
+        terms, ones = self._step_terms(category, x)
         # The adjusted bias starts from the bias itself, not from +0.0.
-        adjusted = np.add.accumulate(np.concatenate((self.bias[None], terms[ones:])), axis=0)
-        z = ordered_sum(np.concatenate((terms[:ones], self._numeric_terms(x), adjusted[-1:])))
+        adjusted = np.add.accumulate(np.concatenate((terms[-1:], terms[ones : 2 * ones + 1])), axis=0)
+        z = ordered_sum(np.concatenate((terms[:ones], terms[2 * ones + 1 : -1], adjusted[-1:])))
         self._count_forward(counters, ones)
         return z
 
@@ -600,24 +644,24 @@ class AugmentedBinaryLayer(_BitEncoder):
         return self._add_numerics_and_bias_batch(z, plan.numerics, np.take(adjusted, plan.inverse, axis=0))
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        """Subtract the same delta from bit rows, category memory, bit memory, in one scatter.
+        """Subtract the same delta from bit rows, category memory, bit memory and bias, in one scatter.
 
         The bit-row and bit-memory changes cancel in every forward pass, so
         only the category-memory change survives, and only for this category.
         """
-        x = self._check_example(category, numerics)
+        category, x = self._check_step(category, numerics)
         delta = _as_vector(delta, self.k, "delta")
-        rows = self._step_rows(category, with_category=not self.skip_category_memory_update)
-        self._buffer[rows] -= delta
-        self._update_numerics_and_bias(x, delta)
+        rows = self._step_rows(category, 1, with_category=not self.skip_category_memory_update)
+        stepped = self._buffer.take(rows, axis=0)  # buffer[rows] -= delta, gathering with the cheaper take
+        stepped -= delta
+        self._buffer[rows] = stepped
+        self.num_weights -= np.multiply.outer(x, delta)
         if counters is not None:
-            ones = len(rows) // 2  # with or without the category row
-            counters.encoding_param_updates += (2 * ones + 1) * self.k
+            counters.encoding_param_updates += (2 * category.bit_count() + 1) * self.k
 
     def effective_contribution(self, category: int) -> np.ndarray:
         """Category-dependent part of the pre-activation."""
-        self._check_category(category)
-        return ordered_sum(self._step_terms(category)[0])
+        return ordered_sum(self._step_terms(self._check_category(category))[0])
 
     def all_contributions(self) -> np.ndarray:
         """Bit sums, plus each category's memory, minus its one-bits' memories, ascending.

@@ -59,27 +59,38 @@ class Activation(str, Enum):
     TANH = "tanh"
     RELU = "relu"
 
+    # The members are compared with module aliases: reading one off the class
+    # costs an enum descriptor call, and the training step makes a dozen.
     def apply(self, z: np.ndarray) -> np.ndarray:
-        if self is Activation.IDENTITY:
+        if self is _IDENTITY:
             return z.copy()
-        if self is Activation.SIGMOID:  # 1.0 / (1.0 + np.exp(-z)), in one new array
+        if self is _SIGMOID:  # 1.0 / (1.0 + np.exp(-z)), in one new array
             a = np.negative(z)
             np.exp(a, out=a)
             np.add(1.0, a, out=a)
             return np.divide(1.0, a, out=a)
-        if self is Activation.TANH:
+        if self is _TANH:
             return np.tanh(z)
         return np.maximum(z, 0.0)
 
     def derivative(self, z: np.ndarray, activated: np.ndarray) -> np.ndarray:
         """Derivative at z, reusing the already-computed activation value."""
-        if self is Activation.IDENTITY:
+        if self is _IDENTITY:
             return np.ones_like(z)
-        if self is Activation.SIGMOID:
+        if self is _SIGMOID:
             return activated * (1.0 - activated)
-        if self is Activation.TANH:
+        if self is _TANH:
             return 1.0 - activated * activated
         return np.where(z > 0.0, 1.0, 0.0)  # derivative taken as 0 at the kink
+
+
+_IDENTITY, _SIGMOID, _TANH = Activation.IDENTITY, Activation.SIGMOID, Activation.TANH
+
+
+def _check_finite(z: np.ndarray, stage: str) -> None:
+    """Raise NumericError unless every entry of the ``stage`` pre-activation ``z`` is finite."""
+    if np.count_nonzero(np.isfinite(z)) != z.size:
+        raise NumericError(f"non-finite {stage} pre-activation")
 
 
 @dataclass
@@ -174,17 +185,16 @@ class Network:
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> ForwardCache:
         numerics = np.asarray(numerics, dtype=np.float64)
         z = self._encoder_forward(category, numerics, counters)
-        if not np.isfinite(z).all():
-            raise NumericError("non-finite encoder pre-activation")
+        _check_finite(z, "encoder")
         a = self.encoder_activation.apply(z)
         pre = [z]
         post = [a]
         for layer in self.layers:
-            z = layer.forward(post[-1], counters)
-            if not np.isfinite(z).all():
-                raise NumericError("non-finite dense pre-activation")
+            z = layer.forward(a, counters)
+            _check_finite(z, "dense")
+            a = layer.activation.apply(z)
             pre.append(z)
-            post.append(layer.activation.apply(z))
+            post.append(a)
         return ForwardCache(int(category), numerics, pre, post)
 
     def backprop_deltas(self, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
@@ -196,19 +206,17 @@ class Network:
         target = np.asarray(target, dtype=np.float64)
         grad = mse_gradient(cache.output, target)
         deltas: list[np.ndarray] = []
-        stages = [(self.encoder_activation, None)] + [
-            (layer.activation, layer) for layer in self.layers
-        ]
-        for idx in range(len(stages) - 1, -1, -1):
-            activation, _ = stages[idx]
+        layers = self.layers
+        # Stage idx is dense layer idx - 1, or the encoder at idx 0.
+        for idx in range(len(layers), -1, -1):
+            activation = layers[idx - 1].activation if idx else self.encoder_activation
             dz = grad  # the identity's derivative is 1.0, and grad * 1.0 is grad exactly
-            if activation is not Activation.IDENTITY:
+            if activation is not _IDENTITY:
                 dz = grad * activation.derivative(cache.pre_activations[idx], cache.activations[idx])
             deltas.append(dz)
-            if idx > 0:
-                layer = stages[idx][1]
+            if idx:
                 # Terms weights[:, k] * dz[k], added in ascending output column k.
-                grad = ordered_sum((layer.weights * dz).T)
+                grad = ordered_sum((layers[idx - 1].weights * dz).T)
         deltas.reverse()
         return deltas
 
@@ -260,13 +268,11 @@ class Network:
             z = self.encoder.forward_batch_folded(plan)
         else:
             z = self.encoder.forward_batch(plan)
-        if not np.isfinite(z).all():
-            raise NumericError("non-finite encoder pre-activation")
+        _check_finite(z, "encoder")
         a = self.encoder_activation.apply(z)
         for layer in self.layers:
             z = layer.forward_batch(a)
-            if not np.isfinite(z).all():
-                raise NumericError("non-finite dense pre-activation")
+            _check_finite(z, "dense")
             a = layer.activation.apply(z)
         return a
 

@@ -434,17 +434,23 @@ def test_params_lists_array_fields_in_order():
 
 
 def _assert_views_of_one_buffer(layer):
-    """bit_weights, cat_memory and bit_memory are the (n + N + n, K) buffer's row blocks, in that order."""
-    n, count = layer.width, layer.n_categories
+    """Every parameter is a row block of the (n + N + n + d + 1, K) buffer, in this order:
+    bit_weights, cat_memory, bit_memory (transposed), num_weights, then bias."""
+    n, count, d = layer.width, layer.n_categories, layer.n_numeric
     buffer = layer._buffer
-    assert buffer.shape == (2 * n + count, layer.k) and buffer.flags.c_contiguous
-    assert all(array.base is buffer for array in (layer.bit_weights, layer.cat_memory, layer.bit_memory))
-    assert np.shares_memory(layer.bit_weights, buffer[:n]) and layer.bit_weights.shape == (n, layer.k)
-    assert np.shares_memory(layer.cat_memory, buffer[n : n + count]) and layer.cat_memory.shape == (count, layer.k)
-    assert np.shares_memory(layer.bit_memory, buffer[n + count :]) and layer.bit_memory.shape == (layer.k, n)
-    assert buffer[:n].tobytes() == layer.bit_weights.tobytes()
-    assert buffer[n : n + count].tobytes() == layer.cat_memory.tobytes()
-    assert buffer[n + count :].T.tobytes() == layer.bit_memory.tobytes()
+    assert buffer.shape == (2 * n + count + d + 1, layer.k) and buffer.flags.c_contiguous
+    blocks = {
+        "bit_weights": buffer[:n],
+        "cat_memory": buffer[n : n + count],
+        "bit_memory": buffer[n + count : 2 * n + count].T,
+        "num_weights": buffer[2 * n + count : -1],
+        "bias": buffer[-1],
+    }
+    for name, block in blocks.items():
+        array = getattr(layer, name)
+        # Same start, shape and strides: the same view, even where it is empty (d = 0).
+        assert array.base is buffer and array.ctypes.data == block.ctypes.data, name
+        assert array.shape == block.shape and array.strides == block.strides, name
 
 
 def test_augmented_families_are_views_of_one_buffer_built_from_copies():
@@ -457,18 +463,26 @@ def test_augmented_families_are_views_of_one_buffer_built_from_copies():
     cat_memory[0] = [-0.0, np.inf, -np.inf]
     bit_memory = stream.symmetric_array((n, k), 1.0).T
     bit_memory[2, 0] = -0.0
-    inputs = {"bit_weights": bits, "cat_memory": cat_memory, "bit_memory": bit_memory}
+    num_weights = stream.symmetric_array((k, 2), 1.0).T
+    num_weights[1, 1] = -np.inf
+    bias = stream.symmetric_array((2 * k,), 1.0)[1::2]
+    bias[0] = -0.0
+    inputs = {"bit_weights": bits, "cat_memory": cat_memory, "bit_memory": bit_memory,
+              "num_weights": num_weights, "bias": bias}
     expected = {name: array.tobytes() for name, array in inputs.items()}
-    layer = AugmentedBinaryLayer(num_weights=np.zeros((1, k)), bias=np.zeros(k), **inputs)
+    layer = AugmentedBinaryLayer(**inputs)
     _assert_views_of_one_buffer(layer)
     assert {name: getattr(layer, name).tobytes() for name in inputs} == expected
-    for array in inputs.values():  # the layer holds copies: the caller's arrays are not aliased
+    # The layer holds copies: the caller's arrays are not aliased, num_weights
+    # and bias included (they were kept as given before they joined the buffer).
+    for array in inputs.values():
         array[...] = 7.0
     assert {name: getattr(layer, name).tobytes() for name in inputs} == expected
     # In-place writes through params() reach the buffer, and the forward reads them.
     for index, (_, array) in enumerate(layer.params()):
         array[...] = SplitMix64(index).symmetric_array(array.shape, 1.0)
     _assert_views_of_one_buffer(layer)
+    x = np.array([0.5, -2.0])
     for category in range(1, count + 1):
         rows = [i - 1 for i in encode(category, n).positions]
         manual = np.zeros(k)
@@ -478,15 +492,20 @@ def test_augmented_families_are_views_of_one_buffer_built_from_copies():
         for i in rows:
             manual -= layer.bit_memory[:, i]
         assert layer.effective_contribution(category).tobytes() == manual.tobytes()
+        for j in range(2):
+            manual += layer.num_weights[j] * x[j]
+        manual += layer.bias
+        assert layer.forward(category, x).tobytes() == manual.tobytes()
 
 
 @pytest.mark.parametrize("fill", [0.0, -0.0])
 def test_zero_category_memory_is_kept_bit_for_bit(fill):
     # An all +0.0 memory is left as the zeroed buffer holds it; -0.0 is copied.
-    layer = AugmentedBinaryLayer(bit_weights=np.ones((3, 2)), num_weights=np.zeros((0, 2)), bias=np.zeros(2),
+    layer = AugmentedBinaryLayer(bit_weights=np.ones((3, 2)), num_weights=np.zeros((0, 2)), bias=np.full(2, fill),
                                  cat_memory=np.full((4, 2), fill), bit_memory=np.zeros((2, 3)))
     _assert_views_of_one_buffer(layer)
     assert layer.cat_memory.tobytes() == np.full((4, 2), fill).tobytes()
+    assert layer.bias.tobytes() == np.full(2, fill).tobytes()
 
 
 def test_fresh_augmented_layer_is_views_of_a_zero_memory_buffer():
@@ -494,6 +513,9 @@ def test_fresh_augmented_layer_is_views_of_a_zero_memory_buffer():
     _assert_views_of_one_buffer(layer)
     assert layer.cat_memory.tobytes() == np.zeros((37, 4)).tobytes()
     assert layer.bit_memory.tobytes() == np.zeros((4, 6)).tobytes()
+    assert layer.bias.tobytes() == np.zeros(4).tobytes()
+    # The same draws as the binary layer's, for the numeric rows too.
+    assert layer.num_weights.tobytes() == BinaryLayer.fresh(37, 2, 4, SplitMix64(3)).num_weights.tobytes()
 
 
 def test_augmented_params_and_count_leave_out_the_buffer():
@@ -502,7 +524,72 @@ def test_augmented_params_and_count_leave_out_the_buffer():
     assert shapes == [("bit_weights", (6, 4)), ("num_weights", (2, 4)), ("bias", (4,)),
                       ("cat_memory", (37, 4)), ("bit_memory", (4, 6))]
     assert all(array is not layer._buffer for _, array in layer.params())
-    assert layer.param_count == 6 * 4 + 2 * 4 + 4 + 37 * 4 + 4 * 6 == layer._buffer.size + 2 * 4 + 4
+    # Every parameter is in the buffer, once: the count is unchanged and is the buffer's size.
+    assert layer.param_count == 6 * 4 + 2 * 4 + 4 + 37 * 4 + 4 * 6 == layer._buffer.size
+
+
+def test_augmented_layer_without_numeric_features_steps_its_bias_row():
+    layer = _filled_bit_layer("augmented", 11, k=3, n_numeric=0)
+    _assert_views_of_one_buffer(layer)
+    assert layer._buffer.shape == (2 * 4 + 11 + 1, 3)
+    before = layer._buffer.copy()
+    delta = np.array([0.25, -0.5, 1.0])
+    assert layer.forward(6, ()).tobytes() == (layer.effective_contribution(6) + before[-1]).tobytes()
+    layer.apply_update(6, (), delta)
+    moved = np.flatnonzero(np.any(layer._buffer != before, axis=1)).tolist()
+    assert moved == [1, 2, 4 + 5, 4 + 11 + 1, 4 + 11 + 2, 2 * 4 + 11]  # bits 2, 3; category 6; bias
+    assert layer._buffer[moved].tobytes() == (before[moved] - delta).tobytes()
+
+
+def test_fault_hook_scatter_steps_bias_and_numerics_but_not_the_category_row():
+    layer = _filled_bit_layer("augmented", 11, k=3, n_numeric=2)
+    layer.skip_category_memory_update = True
+    params = {name: array.copy() for name, array in layer.params()}
+    x, delta = np.array([0.5, -3.0]), np.array([0.25, -0.5, 1.0])
+    layer.apply_update(6, x, delta)  # bits 2 and 3
+    assert layer.cat_memory.tobytes() == params["cat_memory"].tobytes()
+    assert layer.bias.tobytes() == (params["bias"] - delta).tobytes()
+    assert layer.num_weights.tobytes() == (params["num_weights"] - np.multiply.outer(x, delta)).tobytes()
+    assert layer.bit_weights[1:3].tobytes() == (params["bit_weights"][1:3] - delta).tobytes()
+    assert layer.bit_memory[:, 1:3].T.tobytes() == (params["bit_memory"][:, 1:3].T - delta).tobytes()
+    layer.skip_category_memory_update = False
+    layer.apply_update(6, x, delta)
+    assert np.flatnonzero(np.any(layer.cat_memory != params["cat_memory"], axis=1)).tolist() == [5]
+
+
+# Every integer type; a type takes part for the ids it can hold.
+_INT_TYPES = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+@pytest.mark.parametrize("n_categories", [32767, 65536])
+@pytest.mark.filterwarnings("error")  # an overflow warning was once the only sign of a wrong row
+def test_numpy_integer_categories_compute_what_python_ints_do(kind, n_categories):
+    ids = [c for c in (1, 127, 128, 255, 32767, 65535, 65536) if c <= n_categories]
+    x = np.array([0.5, -1.5])
+    delta = np.array([0.125, -0.25, 0.5])
+    layer = _filled_bit_layer(kind, n_categories)
+    reads = [layer.forward, layer.forward_folded] if kind == "augmented" else [layer.forward]
+    for int_type in _INT_TYPES:
+        held = [c for c in ids if c <= np.iinfo(int_type).max]
+        for category in held:
+            for read in reads:
+                assert read(int_type(category), x).tobytes() == read(category, x).tobytes(), (int_type, category)
+            typed = layer.effective_contribution(int_type(category))
+            assert typed.tobytes() == layer.effective_contribution(category).tobytes(), (int_type, category)
+        stepped, expected = _filled_bit_layer(kind, n_categories), _filled_bit_layer(kind, n_categories)
+        for category in held:
+            stepped.apply_update(int_type(category), x, delta)
+            expected.apply_update(category, x, delta)
+            assert [a.tobytes() for _, a in stepped.params()] == [a.tobytes() for _, a in expected.params()]
+        config = NetworkConfig(encoder_kind=kind, n_categories=n_categories, n_numeric=2, k=3, hidden=(3, 1), seed=4)
+        typed_net, int_net = build_network(config), build_network(config)
+        for category in held:
+            got = typed_net.sgd_step(int_type(category), x, [0.5], 0.3)
+            assert got.tobytes() == int_net.sgd_step(category, x, [0.5], 0.3).tobytes(), (int_type, category)
+        assert [a.tobytes() for _, a in typed_net.encoder.params()] == [a.tobytes() for _, a in int_net.encoder.params()]
+        assert all(a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+                   for a, b in zip(typed_net.layers, int_net.layers))
 
 
 def _filled_bit_layer(kind, n_categories, k=3, n_numeric=2, seed=0):

@@ -26,7 +26,7 @@ from augbin import (
     run_sgd,
     synthetic_stream,
 )
-from augbin.gradcheck import analytic_gradients
+from augbin.gradcheck import analytic_gradients, param_arrays
 from augbin.network import Batch
 from augbin.layers import ENCODERS, Encoder
 
@@ -400,6 +400,36 @@ def test_non_finite_forward_raises():
     net.encoder.bit_weights[0, 0] = np.inf
     with pytest.raises(NumericError):
         net.forward(1, np.array([0.0, 0.0]))
+
+
+_STAGE_MESSAGES = {
+    "encoder": "non-finite encoder pre-activation",
+    "hidden": "non-finite dense pre-activation",
+    "output": "non-finite dense pre-activation",
+}
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+@pytest.mark.parametrize("stage", tuple(_STAGE_MESSAGES))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_each_stage_checks_its_pre_activation_for_non_finite_values(kind, stage, value):
+    net = build_network(NetworkConfig(encoder_kind=kind, n_categories=5, n_numeric=2, k=3, hidden=(4, 1), seed=2))
+    planted = {"encoder": net.encoder.bias, "hidden": net.layers[0].bias, "output": net.layers[1].bias}[stage]
+    planted[-1] = value  # only this stage's pre-activation turns non-finite
+    x = np.array([0.5, -0.25])
+    before = [array.tobytes() for _, array in param_arrays(net)]
+    calls = {
+        "forward": lambda: net.forward(3, x),
+        "predict": lambda: net.predict(3, x),
+        "sgd_step": lambda: net.sgd_step(3, x, [0.5], 0.1),
+        "predict_batch": lambda: net.predict_batch([3, 1], np.stack([x, -x])),
+    }
+    for name, call in calls.items():
+        with pytest.raises(NumericError) as err:
+            call()
+        assert str(err.value) == _STAGE_MESSAGES[stage], name
+    # The check runs before any update: a step that raised changed nothing.
+    assert [array.tobytes() for _, array in param_arrays(net)] == before
 
 
 def test_predict_equals_forward_output():

@@ -3,7 +3,7 @@
 ``perfbench/spans.py`` patches each ``(owner, attr)`` of ``PATCH_TABLE`` by
 reading ``owner.__dict__[attr]``.  A refactor that drops or moves one of
 those names would otherwise surface only as a ``KeyError`` in a traced
-benchmark run, so a traced run of two workloads is smoke-tested here too.
+benchmark run, so a traced run of each workload is smoke-tested here too.
 """
 
 import json
@@ -48,7 +48,7 @@ def _traced_run(workload):
     return run
 
 
-@pytest.mark.parametrize("workload", ["train-eval", "verify"])
+@pytest.mark.parametrize("workload", ["train-eval", "sgd-stream", "verify"])
 def test_traced_benchmark_run_exits_clean(workload):
     # A traced run installs every patch of the table and checks the
     # program's outputs; a renamed attribute or a failed check shows here.
