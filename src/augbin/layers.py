@@ -71,14 +71,17 @@ buffer: the n bit-weight rows, the N category-memory rows, the n bit-memory
 rows, the d numeric rows, then the bias row.  ``bit_weights``,
 ``cat_memory``, ``bit_memory``, ``num_weights`` and ``bias`` are views of
 it, ``bit_memory`` the (K, n) transpose of its block, and construction
-copies the caller's arrays into it.  ``_step_rows`` lists a step's rows:
-the 2*ones+1 rows of its category term, then the buffer's last rows.  The
-forward gathers the whole sum with one ``take`` of 2*ones+1+d+1 rows,
-negates the bit-memory block and scales the numeric block in place, and
-adds it with one ``ordered_sum``; nothing is concatenated.  The update
-subtracts delta from the category term's rows and the bias row in one
-gather-subtract-scatter; the numeric rows take their own ``x[j] * delta``.
-The rows are distinct, so each entry gets one subtraction.
+copies the caller's arrays into it; a copy or a pickle builds the layer
+anew from its parameters, on a buffer of its own.  ``_step_rows`` lists a
+step's rows: the 2*ones+1 rows of its category term, then the numeric rows
+and the bias row.  It keeps its last listing with the category and tail it
+was made for, so a step lists its rows once: the forward lists them and the
+update reuses them.  The forward gathers the whole sum with one ``take`` of
+2*ones+1+d+1 rows, negates the bit-memory block and scales the numeric
+block in place, and adds it with one ``ordered_sum``; nothing is
+concatenated.  The update gathers the same rows, subtracts delta from each
+(``x[j] * delta`` from numeric row j), and scatters them back.  The rows
+are distinct, so each entry gets one subtraction.
 
 Batched evaluation is one-hot evaluation for every kind.  ``plan_batch``
 checks B inputs once and keeps what depends on the categories alone: the
@@ -152,18 +155,25 @@ def _one_bits(category: int) -> list[int]:
     return bits
 
 
-def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (m, K) array, bit for bit ``z = zeros(K); for t in terms: z += t``.
+def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum of a (m, K) array along ``axis``, bit for bit the ascending loop from zeros.
 
-    ``np.add.accumulate`` adds strictly one row after another.  The loop's
-    +0.0 start matters only where every term is -0.0: no sum that starts from
-    +0.0 is ever -0.0, and a run of -0.0 terms is absorbed by the first other
-    term either way.  So adding +0.0 at the end, which turns only -0.0 into
-    +0.0, gives the loop's sum.
+    Along axis 0 that is the (K,) sum of the rows, ``z = zeros(K); for t in
+    terms: z += t``; along axis 1 the (m,) sum of the columns, ``z =
+    zeros(m); for k in range(K): z += terms[:, k]``.  ``np.add.accumulate``
+    adds strictly one term after another.  The loop's +0.0 start matters only
+    where every term is -0.0: no sum that starts from +0.0 is ever -0.0, and
+    a run of -0.0 terms is absorbed by the first other term either way.  So
+    adding +0.0 at the end, which turns only -0.0 into +0.0, gives the
+    loop's sum.  With no terms the sum is zeros.  One term is its own running
+    sum, so it skips the accumulate, which would make one inner-loop call
+    per row of a (fan_in, 1) backprop sum.
     """
-    if not terms.shape[0]:
-        return np.zeros(terms.shape[1:])
-    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+    count = terms.shape[axis]
+    if not count:
+        return np.zeros(terms.shape[1 - axis])
+    total = np.add.accumulate(terms, axis=axis) if count > 1 else terms
+    return (total[:, -1] if axis else total[-1]) + 0.0
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -235,11 +245,15 @@ class Encoder:
 
         The per-example methods compute with that int, never with the
         caller's object: a numpy integer would do their index arithmetic in
-        its own dtype, where ``width + category - 1`` can wrap.
+        its own dtype, where ``width + category - 1`` can wrap.  This is
+        :meth:`_check_category` inlined, with a Python int passed through:
+        the training step checks twice, so it calls no helper.
         """
-        index = self._check_category(category)
+        index = category if type(category) is int else category_index(category)
+        if not 1 <= index <= self.n_categories:
+            raise RangeError(f"category {category} out of 1..{self.n_categories}")
         x = np.asarray(numerics, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.n_numeric:
+        if x.shape != self.num_weights.shape[:1]:
             raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
         return index, x
 
@@ -319,7 +333,7 @@ class Encoder:
         return z
 
     def _update_numerics_and_bias(self, x: np.ndarray, delta: np.ndarray) -> None:
-        self.num_weights -= np.multiply.outer(x, delta)
+        self.num_weights -= x[:, None] * delta
         self.bias -= delta
 
 
@@ -355,8 +369,8 @@ class OneHotLayer(Encoder):
         terms = np.concatenate((self.cat_weights[category - 1 : category], self._numeric_terms(x), self.bias[None]))
         z = np.add.accumulate(terms, axis=0)[-1]  # starts from the row itself, not from +0.0
         if counters is not None:
-            counters.encoding_madds_dense += self.n_categories * self.k
-            counters.encoding_madds_sparse += self.k
+            counters.encoding_madds_dense += self.cat_weights.size
+            counters.encoding_madds_sparse += z.shape[0]
         return z
 
     def _category_rows(self, plan: BatchPlan) -> np.ndarray:
@@ -364,11 +378,11 @@ class OneHotLayer(Encoder):
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.k, "delta")
+        delta = _as_vector(delta, self.bias.shape[0], "delta")
         self.cat_weights[category - 1] -= delta
         self._update_numerics_and_bias(x, delta)
         if counters is not None:
-            counters.encoding_param_updates += self.k
+            counters.encoding_param_updates += delta.shape[0]
 
     def effective_contribution(self, category: int) -> np.ndarray:
         return self.cat_weights[self._check_category(category) - 1].copy()
@@ -473,8 +487,8 @@ class BinaryLayer(_BitEncoder):
         rows = self._rows(category)
         z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), self.bias[None])))
         if counters is not None:
-            counters.encoding_madds_dense += self.width * self.k
-            counters.encoding_madds_sparse += len(rows) * self.k
+            counters.encoding_madds_dense += self.bit_weights.size
+            counters.encoding_madds_sparse += len(rows) * z.shape[0]
         return z
 
     def _category_rows(self, plan: BatchPlan) -> np.ndarray:
@@ -482,12 +496,12 @@ class BinaryLayer(_BitEncoder):
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
         category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.k, "delta")
+        delta = _as_vector(delta, self.bias.shape[0], "delta")
         rows = self._rows(category)
         self.bit_weights[rows] -= delta
         self._update_numerics_and_bias(x, delta)
         if counters is not None:
-            counters.encoding_param_updates += len(rows) * self.k
+            counters.encoding_param_updates += len(rows) * delta.shape[0]
 
     def effective_contribution(self, category: int) -> np.ndarray:
         return ordered_sum(self.bit_weights[self._rows(self._check_category(category))])
@@ -545,6 +559,15 @@ class AugmentedBinaryLayer(_BitEncoder):
         self.bit_memory = buffer[bits_end:memory_end].T
         self.num_weights = buffer[memory_end:-1]
         self.bias = buffer[-1]
+        self._rows_record = (0, 0, None)  # (category, tail, rows) of the last _step_rows listing
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the layer from its parameters, so a copy's views share the copy's own buffer.
+
+        Copied one by one, each view would leave the buffer, and writes
+        through ``params()`` would no longer reach ``forward``.
+        """
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def _from_draws(cls, n_categories: int, **arrays) -> "AugmentedBinaryLayer":
@@ -558,21 +581,29 @@ class AugmentedBinaryLayer(_BitEncoder):
     def n_categories(self) -> int:
         return self.cat_memory.shape[0]
 
-    def _step_rows(self, category: int, tail: int, with_category: bool = True) -> np.ndarray:
-        """Buffer rows of one step, each block ascending.
+    def _step_rows(self, category: int, tail: int) -> np.ndarray:
+        """Buffer rows of one step, each block ascending; the caller must not write to them.
 
         The one-bits' weight rows, the category memory row, the one-bits'
         memory rows, then the buffer's last ``tail`` rows: the numeric rows
-        and the bias row, or the bias row alone.  Callers range-check first
-        and pass the Python int the check returns.
+        and the bias row, or none.  Callers range-check first and pass the
+        Python int the check returns.
+
+        The rows depend on the category and the tail alone, so the last
+        listing is kept and a call for the same pair returns it: a step's
+        forward lists them and its update reuses them.
         """
+        record = self._rows_record
+        if record[0] == category and record[1] == tail:
+            return record[2]
         width = self.bit_weights.shape[0]
         memory = width + self.cat_memory.shape[0]  # the first bit-memory row
         end = self._buffer.shape[0]
         bits = _one_bits(category)
-        category_row = [width + category - 1] if with_category else []
-        rows = [*bits, *category_row, *[memory + i for i in bits], *range(end - tail, end)]
-        return np.fromiter(rows, np.intp, len(rows))
+        rows = [*bits, width + category - 1, *map(memory.__add__, bits), *range(end - tail, end)]
+        rows = np.array(rows, np.intp)
+        self._rows_record = (category, tail, rows)
+        return rows
 
     def _step_terms(self, category: int, x: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """The step's terms in one gather, and the number of one-bits.
@@ -604,8 +635,9 @@ class AugmentedBinaryLayer(_BitEncoder):
 
     def _count_forward(self, counters: OpCounters | None, ones: int) -> None:
         if counters is not None:
-            counters.encoding_madds_dense += (2 * self.width + 1) * self.k
-            counters.encoding_madds_sparse += (2 * ones + 1) * self.k
+            width, k = self.bit_weights.shape
+            counters.encoding_madds_dense += (2 * width + 1) * k
+            counters.encoding_madds_sparse += (2 * ones + 1) * k
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         """Bit rows + category memory - bit memories, then numeric terms, then bias."""
@@ -644,20 +676,26 @@ class AugmentedBinaryLayer(_BitEncoder):
         return self._add_numerics_and_bias_batch(z, plan.numerics, np.take(adjusted, plan.inverse, axis=0))
 
     def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        """Subtract the same delta from bit rows, category memory, bit memory and bias, in one scatter.
+        """Subtract the same delta from bit rows, category memory, bit memory and bias in one scatter.
 
         The bit-row and bit-memory changes cancel in every forward pass, so
         only the category-memory change survives, and only for this category.
+        The rows are the forward's listing, so the scatter also takes the
+        numeric rows, each stepped by its own ``x[j] * delta``.
         """
         category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.k, "delta")
-        rows = self._step_rows(category, 1, with_category=not self.skip_category_memory_update)
+        delta = _as_vector(delta, self.bias.shape[0], "delta")
+        ones = category.bit_count()
+        rows = self._step_rows(category, x.shape[0] + 1)
+        if self.skip_category_memory_update:
+            rows = np.delete(rows, ones)  # the category memory row
         stepped = self._buffer.take(rows, axis=0)  # buffer[rows] -= delta, gathering with the cheaper take
         stepped -= delta
+        # The numeric rows take x[j] * delta instead, from their values before the step.
+        np.subtract(self.num_weights, x[:, None] * delta, out=stepped[-x.shape[0] - 1 : -1])
         self._buffer[rows] = stepped
-        self.num_weights -= np.multiply.outer(x, delta)
         if counters is not None:
-            counters.encoding_param_updates += (2 * category.bit_count() + 1) * self.k
+            counters.encoding_param_updates += (2 * ones + 1) * delta.shape[0]
 
     def effective_contribution(self, category: int) -> np.ndarray:
         """Category-dependent part of the pre-activation."""

@@ -20,8 +20,12 @@ The step is array-form: the dense fan-in sum and the backprop sum over
 output columns each stack their terms and add them with one
 :func:`~augbin.layers.ordered_sum`, a sequential
 ``np.add.accumulate`` from +0.0, never a pairwise reduction or a BLAS
-product, so each equals its ascending ``+=`` loop bit for bit.  The tests
-keep those loops as oracles.
+product, so each equals its ascending ``+=`` loop bit for bit.  The
+backprop sum runs along the contiguous axis of the (fan_in, fan_out)
+product ``weights * dz``, and a one-column sum (a single output) needs no
+accumulate at all.  The tests keep those loops as oracles.  Each piece of
+the step runs once: no helper re-reads a shape through a property, and the
+encoder's update reuses the rows its forward listed.
 
 Evaluation (:func:`mean_loss`, :meth:`Network.predict_batch`) is batched over
 rows: each layer runs once on a (B, width) array instead of once per row.
@@ -126,7 +130,7 @@ class DenseLayer:
         """Fan-in terms ``weights[i] * x[i]`` in ascending i from +0.0, then the bias."""
         z = ordered_sum(self.weights * x[:, None]) + self.bias
         if counters is not None:
-            counters.downstream_madds += self.fan_in * self.fan_out
+            counters.downstream_madds += self.weights.size
         return z
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
@@ -177,14 +181,12 @@ class Network:
     def param_count(self) -> int:
         return self.encoder.param_count + sum(layer.param_count for layer in self.layers)
 
-    def _encoder_forward(self, category, numerics, counters) -> np.ndarray:
-        if self.folded_forward and isinstance(self.encoder, AugmentedBinaryLayer):
-            return self.encoder.forward_folded(category, numerics, counters)
-        return self.encoder.forward(category, numerics, counters)
-
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> ForwardCache:
         numerics = np.asarray(numerics, dtype=np.float64)
-        z = self._encoder_forward(category, numerics, counters)
+        if self.folded_forward and isinstance(self.encoder, AugmentedBinaryLayer):
+            z = self.encoder.forward_folded(category, numerics, counters)
+        else:
+            z = self.encoder.forward(category, numerics, counters)
         _check_finite(z, "encoder")
         a = self.encoder_activation.apply(z)
         pre = [z]
@@ -203,8 +205,7 @@ class Network:
         Reads only pre-update weights, so the caller may apply updates in any
         stage order afterwards.
         """
-        target = np.asarray(target, dtype=np.float64)
-        grad = mse_gradient(cache.output, target)
+        grad = mse_gradient(cache.activations[-1], target)
         deltas: list[np.ndarray] = []
         layers = self.layers
         # Stage idx is dense layer idx - 1, or the encoder at idx 0.
@@ -215,8 +216,9 @@ class Network:
                 dz = grad * activation.derivative(cache.pre_activations[idx], cache.activations[idx])
             deltas.append(dz)
             if idx:
-                # Terms weights[:, k] * dz[k], added in ascending output column k.
-                grad = ordered_sum((layers[idx - 1].weights * dz).T)
+                # Terms weights[:, k] * dz[k], added in ascending output column k
+                # along the contiguous axis of the (fan_in, fan_out) product.
+                grad = ordered_sum(layers[idx - 1].weights * dz, axis=1)
         deltas.reverse()
         return deltas
 
@@ -235,7 +237,7 @@ class Network:
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
             step = learning_rate * deltas[idx + 1]
-            layer.weights -= np.multiply.outer(cache.activations[idx], step)
+            layer.weights -= cache.activations[idx][:, None] * step
             layer.bias -= step
         encoder_delta = learning_rate * deltas[0]
         self.encoder.apply_update(cache.category, cache.numerics, encoder_delta, counters)

@@ -1,6 +1,8 @@
 """Encoder layer tests: forward values, update rules, isolation algebra."""
 
 import ast
+import copy
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -599,6 +601,33 @@ def _filled_bit_layer(kind, n_categories, k=3, n_numeric=2, seed=0):
     for _, array in layer.params():
         array[...] = stream.symmetric_array(array.shape, 1.0)
     return layer
+
+
+@pytest.mark.parametrize(
+    "copier", [copy.deepcopy, lambda layer: pickle.loads(pickle.dumps(layer))], ids=["deepcopy", "pickle"]
+)
+def test_a_copied_augmented_layer_keeps_its_views_on_its_own_buffer(copier):
+    layer = _filled_bit_layer("augmented", 11)
+    x, delta = np.array([0.5, -2.0]), np.array([0.25, -0.5, 1.0])
+    layer.forward(6, x)  # leaves a step-rows record behind
+    twin = copier(layer)
+    _assert_views_of_one_buffer(twin)
+    assert twin._buffer.tobytes() == layer._buffer.tobytes()
+    assert not np.shares_memory(twin._buffer, layer._buffer)
+    for category in (6, 11, 1, 6):
+        assert twin.forward(category, x).tobytes() == layer.forward(category, x).tobytes()
+        twin.apply_update(category, x, delta)
+        layer.apply_update(category, x, delta)
+        assert twin._buffer.tobytes() == layer._buffer.tobytes()
+    # Writes through the copy's params() reach the copy's forward, and only the copy.
+    original, z = layer._buffer.copy(), layer.forward(6, x)
+    stream = SplitMix64(5)
+    for _, array in twin.params():
+        array[...] = stream.symmetric_array(array.shape, 1.0)
+    rebuilt = AugmentedBinaryLayer(**dict(twin.params()))
+    assert twin.forward(6, x).tobytes() == rebuilt.forward(6, x).tobytes() != z.tobytes()
+    assert layer._buffer.tobytes() == original.tobytes()
+    assert layer.forward(6, x).tobytes() == z.tobytes()
 
 
 def _edge_ids(n_categories):

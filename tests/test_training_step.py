@@ -8,6 +8,7 @@ on the loops, and the tests require the two to agree byte for byte.
 """
 
 import contextlib
+import copy
 from unittest import mock
 
 import numpy as np
@@ -29,9 +30,10 @@ from augbin import (
     build_network,
     encode,
 )
+from augbin import layers
 from augbin.gradcheck import param_arrays
 from augbin.layers import ENCODERS
-from augbin.network import mse_gradient
+from augbin.network import ForwardCache, mse_gradient
 
 
 def loop_dense_forward(self, x, counters=None):
@@ -405,3 +407,98 @@ def test_infinite_row_of_an_unused_bit_stays_out_of_the_step(kind):
             assert np.all(np.isfinite(value)), (name, category)  # never 0 * inf = NaN
         encoder.apply_update(category, x, np.full(3, 0.01))
         assert np.all(np.isfinite(np.delete(encoder.bit_weights, 3, axis=0)))
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_augmented_sgd_step_lists_its_rows_once(monkeypatch, folded):
+    net = build_network(NetworkConfig(encoder_kind="augmented", n_categories=1024, n_numeric=3, k=4,
+                                      hidden=(3, 1), seed=2))
+    net.folded_forward = folded
+    listed = []
+    one_bits = layers._one_bits
+    monkeypatch.setattr(layers, "_one_bits", lambda category: listed.append(category) or one_bits(category))
+    categories = [5, 1024, 17, 5, 1023, 1]  # no category twice in a row
+    for category in categories:
+        net.sgd_step(category, np.array([0.5, -1.0, 2.0]), np.array([0.25]), 0.1)
+    assert listed == categories  # the forward lists, the update reuses
+    net.sgd_step(1, np.array([0.5, -1.0, 2.0]), np.array([0.25]), 0.1)
+    assert listed == categories  # the same category again: nothing to list
+
+
+def _prepare_update(case, layer, x):
+    """Run what ``case`` names before the update of category 6; returns the one-hot twin to update alongside, if any."""
+    if case == "after a forward on another category":
+        layer.forward(7, x)
+    elif case == "after effective_contribution":
+        layer.forward(6, x)
+        layer.effective_contribution(6)  # lists category 6 again, without the numeric and bias rows
+    elif case == "in lockstep with a one-hot twin":
+        twin = OneHotLayer(cat_weights=layer.all_contributions(), num_weights=layer.num_weights.copy(),
+                           bias=layer.bias.copy())
+        layer.forward(6, x)
+        twin.forward(6, x)
+        return twin
+    elif case == "with the fault hook switched on after the forward":
+        layer.forward(6, x)
+        layer.skip_category_memory_update = True
+    return None
+
+
+@pytest.mark.parametrize("case", [
+    "with no forward",
+    "after a forward on another category",
+    "after effective_contribution",
+    "in lockstep with a one-hot twin",
+    "with the fault hook switched on after the forward",
+])
+def test_augmented_update_is_the_freshly_listed_update(case):
+    layer = AugmentedBinaryLayer.fresh(11, 2, 3, SplitMix64(4))
+    for category in (3, 6, 9):  # non-zero memories
+        layer.apply_update(category, np.array([1.0, -0.5]), np.full(3, 0.125 * category))
+    x, delta = np.array([0.5, -2.0]), np.array([0.25, -0.5, 1.0])
+    twin = _prepare_update(case, layer, x)
+    fresh, oracle = copy.deepcopy(layer), copy.deepcopy(layer)  # a copy keeps no step-rows record
+    layer.apply_update(6, x, delta)
+    if twin is not None:
+        twin.apply_update(6, x, delta)
+    fresh.apply_update(6, x, delta)
+    with loop_oracle():
+        oracle.apply_update(6, x, delta)
+    assert layer._buffer.tobytes() == fresh._buffer.tobytes() == oracle._buffer.tobytes()
+    assert layer.forward(6, x).tobytes() == fresh.forward(6, x).tobytes()
+
+
+@pytest.mark.parametrize("fan_in, fan_out", [(32, 8), (8, 1), (1, 12), (0, 3)])
+@pytest.mark.parametrize("outputs", [[0.75, -0.0, 0.0, -1.25], [np.inf, -1.5, -np.inf, 0.0, -0.0, 2.0]],
+                         ids=["signed zeros", "infinities"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_backprop_sum_along_the_contiguous_axis_matches_loop(fan_in, fan_out, outputs):
+    """The backprop sum over output columns, at shapes the hypothesis test reaches only by chance.
+
+    Every stage is the identity, so dz is the output gradient itself, with
+    its +-0.0 and +-inf.  Where dz is finite, one weight row makes every term
+    -0.0.  A fan_in of 0 sits behind a (2, 0) layer, whose sums have no
+    terms at all.
+    """
+    identity = Activation.IDENTITY
+    stream = SplitMix64(100 * fan_in + fan_out)
+    output = np.resize(np.array(outputs), fan_out)
+    target = np.zeros(fan_out)
+    dz = mse_gradient(output, target)
+    weights = stream.symmetric_array((fan_in, fan_out), 2.0)
+    weights.flat[::3] = np.resize(np.array([-0.0, np.inf, 0.0, -np.inf]), weights.flat[::3].shape)
+    negative_zero_row = fan_in > 0 and np.isfinite(dz).all()
+    if negative_zero_row:
+        weights[0] = np.where(np.signbit(dz), 0.0, -0.0)
+    widths = [fan_in] if fan_in else [2, 0]
+    dense = [DenseLayer(weights=weights, bias=np.zeros(fan_out), activation=identity)]
+    if not fan_in:
+        dense.insert(0, DenseLayer(weights=np.zeros((2, 0)), bias=np.zeros(0), activation=identity))
+    net = Network(encoder=OneHotLayer.fresh(3, 0, widths[0], stream), encoder_activation=identity, layers=dense)
+    values = [stream.symmetric_array((width,), 1.0) for width in widths] + [output]
+    cache = ForwardCache(1, np.zeros(0), values, values)
+    got = net.backprop_deltas(cache, target)
+    expected = loop_backprop_deltas(net, cache, target)
+    assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
+    if negative_zero_row:
+        assert got[-2][0].tobytes() == np.float64(0.0).tobytes()  # the -0.0 terms sum to +0.0
