@@ -61,16 +61,18 @@ def build_onehot_twin(net: Network) -> TwinPair:
     contributions; numeric weights, biases, and every downstream layer are
     copied bit-exactly.  This makes the two networks agree at construction
     regardless of how the augmented network was initialized or how long it
-    has already been trained.
+    has already been trained.  The contributions are written straight into
+    the twin's rows, so no second N x K block is built.
     """
     encoder = net.encoder
     if not isinstance(encoder, AugmentedBinaryLayer):
         raise InvalidArgumentError("twin construction requires an augmented-binary encoder")
     onehot_encoder = OneHotLayer(
-        cat_weights=contributions_matrix(encoder),
-        num_weights=encoder.num_weights.copy(),
-        bias=encoder.bias.copy(),
+        cat_weights=np.broadcast_to(0.0, encoder.cat_memory.shape),  # not copied: the rows stay unwritten
+        num_weights=encoder.num_weights,
+        bias=encoder.bias,
     )
+    contributions_matrix(encoder, out=onehot_encoder.cat_weights)
     layers = [
         DenseLayer(weights=layer.weights.copy(), bias=layer.bias.copy(), activation=layer.activation)
         for layer in net.layers

@@ -6,27 +6,54 @@ Every encoder derives from :class:`Encoder` and keeps one contract:
     plan_batch(categories, numerics)                  -> BatchPlan of B rows
     forward_batch(plan)                               -> (B, K), row r == forward(...)
     apply_update(category, numerics, delta, counters=None)
-    all_contributions()                               -> (N, K), row c-1 == effective_contribution(c)
+    all_contributions(out=None)                       -> (N, K), row c-1 == effective_contribution(c)
     effective_contribution(category)                  -> (K,), reference for all_contributions
 
-The three encoders differ only in how they build the category term: one-hot
-reads one weight row per category, binary sums one weight row per one-bit of
-the category's code, and augmented binary adds two correction memories to
-the binary sum.  :data:`ENCODERS` maps each ``kind`` name to its class and is
-the one list of encoder kinds.
+The three encoders differ only in which rows a step reads and writes: one-hot
+its category's weight row, binary one weight row per one-bit of the
+category's code, and augmented binary those bit rows, the category's memory
+row and, negated, the memory row of each one-bit.  :data:`ENCODERS` maps each
+``kind`` name to its class and is the one list of encoder kinds.
 
-The base owns what the three share: input validation, ``k``,
-``n_numeric``, the named parameter arrays (``params``) and their count,
-batch plans, the batched forward, the numeric terms of the forward pass, and
-the numeric-then-bias update.  ``_BitEncoder`` adds what binary and
-augmented share: the bit width, the bits a plan keeps, the batched bit-row
-sum, the table of every category's bit-row sum, and the seeded draws of a
-fresh layer.  A concrete encoder supplies ``kind``, its array fields (every
-``np.ndarray`` field is a trained parameter), ``n_categories``, validation
-of its own categorical arrays, ``_category_rows`` for the batched forward,
-and defines ``forward``, ``apply_update``, ``effective_contribution`` and
-``all_contributions`` itself, so that each method can be patched on its own
-class.
+One layout.  Every encoder keeps all its parameters in one (R + d + 1, K)
+buffer: its R category rows, the d numeric rows, then the bias row.  The
+category rows are one-hot's N weight rows; binary's n bit rows; augmented's
+n bit rows, N category-memory rows and n bit-memory rows.  The named
+parameters (``params()``) are views of the buffer, augmented's
+``bit_memory`` the (K, n) transpose of its block.  :meth:`Encoder._into_buffer`
+builds it from copies of the caller's arrays, so a layer never aliases them:
+write parameters in place, never rebind them.  np.zeros leaves its pages
+unwritten and an all +0.0 block is not copied, so a fresh layer's category
+memory, or a one-hot twin's rows until its contributions are written, stays
+unwritten.  A copy or a pickle builds the layer anew from its parameters, on
+a buffer of its own.
+
+One step kernel.  ``forward``, ``apply_update`` and
+``effective_contribution`` are written once, on the base.  A kind supplies
+four things: the buffer rows of its category term in sum order and how many
+of the last of them are negated, both from ``_term_rows(category)``
+(one-hot: its row, none; binary: the one-bits' rows, none; augmented:
+2*ones+1 rows, the last ``ones`` negated); the N, n or 2n+1 rows a dense
+evaluation would read, which it hands to ``_into_buffer`` for the counters;
+and where its sum starts, ``_from_zero`` (below).  ``_step_rows`` lists a
+step's rows: the term rows, then the numeric rows and the bias row, written
+into one index array that is reused, its numeric and bias rows written
+once.  It keeps its last listing with the category and tail it was made for,
+so a step lists its rows once: the forward lists them and the update reuses
+them.  The forward gathers the whole sum with one ``take``, negates the
+negated block and scales the numeric block in place, and adds it with one
+accumulate; nothing is concatenated.  The update subtracts delta from every
+listed row, ``x[j] * delta`` from numeric row j: in place, block by block,
+when the term has one row (one-hot's, or a single one-bit's), and by one
+gather and one scatter of all the rows when it has several, the form
+measured faster for each.  The rows are distinct, so each entry gets one
+subtraction.
+
+Each class binds the shared methods by name in its own ``__dict__``
+(``forward, apply_update, effective_contribution = _SHARED_STEP``, the
+base's three functions), so that a method can be patched on one class alone:
+the benchmark's tracer times each kind under its own name, and the tests'
+loop oracles replace one kind's method at a time.
 
 ``delta`` is the per-neuron step ``lr * dLoss/dz_k`` computed once by the
 engine and consumed verbatim by every parameter family an encoder owns.
@@ -44,44 +71,24 @@ per-category reference that ``all_contributions`` must equal bit for bit,
 and only the tests call it.
 
 Evaluation order is normative and load-bearing for cross-implementation
-equality, and each ``forward`` spells it out: first the whole category term,
-exactly as ``effective_contribution`` sums it (one-hot: its row; binary: the
-bit rows ascending; augmented: the bit rows ascending, the category memory,
-then the bit memories subtracted ascending), then the numeric terms in
-ascending feature order, then the bias.  So a one-hot layer whose rows are
-an augmented layer's contributions computes the augmented forward bit for
-bit.  ``forward_folded`` keeps its own grouping: bit rows, numeric terms,
-then the bias with the memories folded into it.  Every accumulation below
-runs in ascending index order with one accumulator per output neuron.
-
-The per-example methods, which are the training step, are array-form: each
-stacks its terms in that order (gathered bit rows, category memory, negated
-bit-memory rows, numeric terms, bias) and adds them with one
-:func:`ordered_sum`, a sequential ``np.add.accumulate`` plus +0.0, which
-equals the loop of one ``+=`` per term from zeros bit for bit (``a - b`` is
-``a + (-b)`` exactly in IEEE arithmetic); no pairwise reduction (``np.sum``)
-or BLAS product regroups the terms.  The binary encoder gathers and updates
-its bit rows by fancy indexing.  The input check hands back the category as
-a Python int, and the methods list its one-bits off that int one set bit at
-a time (``c & -c``), never in a numpy integer's own dtype, where
+equality: first the whole category term, exactly as
+``effective_contribution`` sums it (one-hot: its row; binary: the bit rows
+ascending; augmented: the bit rows ascending, the category memory, then the
+bit memories subtracted ascending), then the numeric terms in ascending
+feature order, then the bias.  So a one-hot layer whose rows are an
+augmented layer's contributions computes the augmented forward bit for bit.
+``forward_folded`` keeps its own grouping: bit rows, numeric terms, then the
+bias with the memories folded into it.  Every accumulation below runs in
+ascending index order with one accumulator per output neuron.  The bit
+kinds' sums start from +0.0 (:func:`ordered_sum`, a sequential
+``np.add.accumulate`` plus +0.0, which equals the loop of one ``+=`` per
+term from zeros bit for bit); one-hot's starts from its own row, with no
+trailing +0.0, so a -0.0 row stays -0.0.  ``a - b`` is ``a + (-b)`` exactly
+in IEEE arithmetic, and no pairwise reduction (``np.sum``) or BLAS product
+regroups the terms.  The input check hands back the category as a Python
+int, and the bit kinds list its one-bits off that int one set bit at a time
+(``c & -c``), never in a numpy integer's own dtype, where
 ``width + category - 1`` could wrap.
-
-The augmented encoder keeps every parameter in one (n + N + n + d + 1, K)
-buffer: the n bit-weight rows, the N category-memory rows, the n bit-memory
-rows, the d numeric rows, then the bias row.  ``bit_weights``,
-``cat_memory``, ``bit_memory``, ``num_weights`` and ``bias`` are views of
-it, ``bit_memory`` the (K, n) transpose of its block, and construction
-copies the caller's arrays into it; a copy or a pickle builds the layer
-anew from its parameters, on a buffer of its own.  ``_step_rows`` lists a
-step's rows: the 2*ones+1 rows of its category term, then the numeric rows
-and the bias row.  It keeps its last listing with the category and tail it
-was made for, so a step lists its rows once: the forward lists them and the
-update reuses them.  The forward gathers the whole sum with one ``take`` of
-2*ones+1+d+1 rows, negates the bit-memory block and scales the numeric
-block in place, and adds it with one ``ordered_sum``; nothing is
-concatenated.  The update gathers the same rows, subtracts delta from each
-(``x[j] * delta`` from numeric row j), and scatters them back.  The rows
-are distinct, so each entry gets one subtraction.
 
 Batched evaluation is one-hot evaluation for every kind.  ``plan_batch``
 checks B inputs once and keeps what depends on the categories alone: the
@@ -94,10 +101,12 @@ gathers those U rows to the B rows and adds the numeric terms and the bias.
 ``forward_batch_folded`` builds the folded path's adjusted bias per distinct
 category the same way.  ``all_contributions`` evaluates every category's
 contribution at once for the harness, building the bit-row sums of
-categories 0..N by doubling.  Each keeps the order above for every row,
-applying a bit's row only where the bit is set, so each row equals the
-per-example method bit for bit.  They count no operations: the counters
-describe training steps.  The per-example methods stay the training path.
+categories 1..N by doubling, into ``out`` when given, so that a one-hot
+twin's rows are computed where they live.  Each keeps the order above for
+every row, applying a bit's row only where the bit is set, so each row
+equals the per-example method bit for bit.  They count no operations: the
+counters describe training steps.  The per-example methods stay the
+training path.
 """
 
 from __future__ import annotations
@@ -206,15 +215,59 @@ class BatchPlan:
 
 
 class Encoder:
-    """Base of the first-layer encoders; see the module docstring."""
+    """Base of the first-layer encoders; see the module docstring.
+
+    A concrete encoder supplies ``kind``, its array fields (every
+    ``np.ndarray`` field is a trained parameter), ``n_categories``, a
+    ``__post_init__`` that checks its category arrays and hands them to
+    :meth:`_into_buffer` with its dense-row count, the step's
+    ``_term_rows`` and, where it differs, ``_from_zero``, the bindings of
+    the shared step methods, ``_category_rows`` for the batched forward, and
+    ``all_contributions``.
+    """
 
     kind: str  # key in ENCODERS
     num_weights: np.ndarray  # (d, K)
     bias: np.ndarray  # (K,)
+    _from_zero = True  # the step's sum starts from +0.0
+    skip_category_memory_update = False  # AugmentedBinaryLayer's fault hook; no other kind has the row
 
     def __post_init__(self):
         self.bias = np.asarray(self.bias, dtype=np.float64)
+        if self.bias.ndim != 1:  # K comes from it
+            raise InvalidArgumentError(f"bias must be 1-d, got shape {self.bias.shape}")
         self.num_weights = _as_matrix(self.num_weights, None, self.k, "num_weights")
+
+    def _into_buffer(self, dense_rows: int, **blocks: np.ndarray) -> None:
+        """Copy the category ``blocks``, each (rows, K), then the numeric rows and the bias row, into one new buffer.
+
+        Each name, ``num_weights`` and ``bias`` included, becomes a view of
+        its block.  An all +0.0 block is not copied: the zeroed buffer holds
+        it already, in pages not yet written.  ``dense_rows`` is the kind's
+        N, n or 2n+1: a dense evaluation reads ``dense_rows * K`` entries.
+        """
+        self._dense_size = dense_rows * self.k
+        blocks = {**blocks, "num_weights": self.num_weights, "bias": self.bias[None]}
+        buffer = self._buffer = np.zeros((sum(map(len, blocks.values())), self.k))
+        end = 0
+        for name, block in blocks.items():
+            view = buffer[end : end + len(block)]
+            end += len(block)
+            if block.view(np.uint64).any():  # any bit set: not all +0.0
+                view[...] = block
+            setattr(self, name, view)
+        self.bias = buffer[-1]
+        # _step_rows writes a step's term rows into the room before the numeric and bias rows.
+        self._row_index = np.arange(end - self.num_weights.shape[0] - 1, end, dtype=np.intp)
+        self._rows_record = (0, 0, None)  # (category, tail, listing) of the last _step_rows call
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the layer from its parameters, so a copy's views share the copy's own buffer.
+
+        Copied one by one, each view would leave the buffer, and writes
+        through ``params()`` would no longer reach ``forward``.
+        """
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def k(self) -> int:
@@ -257,10 +310,6 @@ class Encoder:
             raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
         return index, x
 
-    def _check_example(self, category: int, numerics) -> np.ndarray:
-        """:meth:`_check_step`'s numeric features alone, for callers that keep their own category (the tests' reference loops)."""
-        return self._check_step(category, numerics)[1]
-
     def _check_batch(self, categories, numerics) -> tuple[np.ndarray, np.ndarray]:
         """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics.
 
@@ -287,6 +336,92 @@ class Encoder:
                 f"expected {ids.shape[0]} rows of {self.n_numeric} numeric features, got shape {x.shape}"
             )
         return ids, x
+
+    def _step_rows(self, category: int, tail: int) -> tuple[np.ndarray, int, int]:
+        """A step's buffer rows, the number of category-term rows among them and how many of those are negated.
+
+        The rows are the category term's (:meth:`_term_rows`), then the
+        buffer's last ``tail`` rows: the numeric rows and the bias row, or
+        none.  They are a view of one index array, whose numeric and bias
+        rows are written once and whose term rows each listing overwrites,
+        so they hold until the next listing; the caller must not write to
+        them.  Callers range-check first and pass the Python int the check
+        returns.
+
+        The listing depends on the category and the tail alone, so the last
+        one is kept and a call for the same pair returns it: a step's
+        forward lists its rows and its update reuses them.
+        """
+        record = self._rows_record
+        if record[0] == category and record[1] == tail:
+            return record[2]
+        term, negated = self._term_rows(category)
+        count, rows = len(term), self._row_index
+        start = rows.shape[0] - self.num_weights.shape[0] - 1 - count
+        if start < 0:  # more term rows than any listing before
+            rows = self._row_index = np.concatenate((np.zeros(-start, np.intp), rows))
+            start = 0
+        rows[start : start + count] = term
+        listing = rows[start : start + count + tail], count, negated
+        self._rows_record = (category, tail, listing)
+        return listing
+
+    def _step_terms(
+        self, category: int, x: np.ndarray | None = None, counters: OpCounters | None = None
+    ) -> tuple[np.ndarray, int]:
+        """The step's terms in one gather, and the number of category-term rows; counts a forward into ``counters``.
+
+        Rows: the category term, with its negated rows negated, then, given
+        the numeric features ``x``, the numeric terms ``num_weights[j] *
+        x[j]`` and the bias.  The caller owns the array.
+        """
+        rows, count, negated = self._step_rows(category, 0 if x is None else x.shape[0] + 1)
+        if counters is not None:
+            counters.encoding_madds_dense += self._dense_size
+            counters.encoding_madds_sparse += count * self._buffer.shape[1]
+        terms = self._buffer.take(rows, axis=0)
+        if negated:
+            memories = terms[count - negated : count]
+            np.negative(memories, out=memories)
+        if x is not None:
+            numeric = terms[count:-1]
+            numeric *= x[:, None]
+        return terms, count
+
+    def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
+        """The category term, then the numeric terms ascending, then the bias."""
+        category, x = self._check_step(category, numerics)
+        terms = self._step_terms(category, x, counters)[0]
+        return ordered_sum(terms) if self._from_zero else np.add.accumulate(terms, axis=0)[-1]
+
+    def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
+        """Subtract delta from the step's rows, ``x[j] * delta`` from numeric row j.
+
+        The forward's negated rows are stepped like the others: augmented's
+        bit-row and bit-memory changes cancel in every forward pass, so only
+        the category-memory change survives, and only for this category.
+        """
+        category, x = self._check_step(category, numerics)
+        delta = _as_vector(delta, self.bias.shape[0], "delta")
+        rows, count, negated = self._step_rows(category, x.shape[0] + 1)
+        if count == 1:  # one term row: every block stepped in place
+            self._buffer[rows[0]] -= delta
+            self.num_weights -= x[:, None] * delta
+            self.bias -= delta
+        else:  # several: one gather and one scatter of all the step's rows
+            if self.skip_category_memory_update:  # the category memory row, which follows augmented's bit rows
+                rows = np.delete(rows, negated)
+            stepped = self._buffer.take(rows, axis=0)
+            stepped -= delta
+            np.subtract(self.num_weights, x[:, None] * delta, out=stepped[-x.shape[0] - 1 : -1])
+            self._buffer[rows] = stepped
+        if counters is not None:
+            counters.encoding_param_updates += count * delta.shape[0]
+
+    def effective_contribution(self, category: int) -> np.ndarray:
+        """Category-dependent part of the pre-activation: the category term, summed as ``forward`` sums it."""
+        terms, _ = self._step_terms(self._check_category(category))
+        return ordered_sum(terms) if self._from_zero else np.add.accumulate(terms, axis=0)[-1]
 
     def _plan_key(self) -> tuple[int, ...]:
         """What a plan must be built for to serve this encoder: N and d."""
@@ -321,10 +456,6 @@ class Encoder:
         z = np.take(self._category_rows(plan), plan.inverse, axis=0)
         return self._add_numerics_and_bias_batch(z, plan.numerics, self.bias)
 
-    def _numeric_terms(self, x: np.ndarray) -> np.ndarray:
-        """(d, K) numeric terms, row j = ``num_weights[j] * x[j]``."""
-        return self.num_weights * x[:, None]
-
     def _add_numerics_and_bias_batch(self, z: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """Batched forward tail, in the same order for every row."""
         for j in range(self.n_numeric):
@@ -332,24 +463,27 @@ class Encoder:
         z += bias
         return z
 
-    def _update_numerics_and_bias(self, x: np.ndarray, delta: np.ndarray) -> None:
-        self.num_weights -= x[:, None] * delta
-        self.bias -= delta
+
+_SHARED_STEP = (Encoder.forward, Encoder.apply_update, Encoder.effective_contribution)
 
 
 @dataclass
 class OneHotLayer(Encoder):
-    """One weight row per category; updates touch only the active row."""
+    """One weight row per category; a step reads and writes only its category's row."""
 
     kind = "onehot"
+    _from_zero = False  # the sum starts from the row itself, so a -0.0 row stays -0.0
 
     cat_weights: np.ndarray  # (N, K)
     num_weights: np.ndarray  # (d, K)
     bias: np.ndarray  # (K,)
 
+    forward, apply_update, effective_contribution = _SHARED_STEP
+
     def __post_init__(self):
         super().__post_init__()
         self.cat_weights = _as_matrix(self.cat_weights, None, self.k, "cat_weights")
+        self._into_buffer(self.n_categories, cat_weights=self.cat_weights)
 
     @classmethod
     def fresh(cls, n_categories: int, n_numeric: int, k: int, stream: SplitMix64) -> "OneHotLayer":
@@ -364,31 +498,14 @@ class OneHotLayer(Encoder):
     def n_categories(self) -> int:
         return self.cat_weights.shape[0]
 
-    def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        category, x = self._check_step(category, numerics)
-        terms = np.concatenate((self.cat_weights[category - 1 : category], self._numeric_terms(x), self.bias[None]))
-        z = np.add.accumulate(terms, axis=0)[-1]  # starts from the row itself, not from +0.0
-        if counters is not None:
-            counters.encoding_madds_dense += self.cat_weights.size
-            counters.encoding_madds_sparse += z.shape[0]
-        return z
+    def _term_rows(self, category: int) -> tuple[list[int], int]:
+        return [category - 1], 0
 
     def _category_rows(self, plan: BatchPlan) -> np.ndarray:
         return self.cat_weights[plan.distinct - 1]
 
-    def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.bias.shape[0], "delta")
-        self.cat_weights[category - 1] -= delta
-        self._update_numerics_and_bias(x, delta)
-        if counters is not None:
-            counters.encoding_param_updates += delta.shape[0]
-
-    def effective_contribution(self, category: int) -> np.ndarray:
-        return self.cat_weights[self._check_category(category) - 1].copy()
-
-    def all_contributions(self) -> np.ndarray:
-        return self.cat_weights.copy()
+    def all_contributions(self, out: np.ndarray | None = None) -> np.ndarray:
+        return np.positive(self.cat_weights, out=out)  # a copy bit for bit, -0.0 and NaN payloads included
 
 
 class _BitEncoder(Encoder):
@@ -420,20 +537,21 @@ class _BitEncoder(Encoder):
     def width(self) -> int:
         return self.bit_weights.shape[0]
 
-    def _bit_sum_table(self) -> np.ndarray:
-        """(N+1, K) table whose row c is category c's bit-row sum, ascending; row 0 is +0.0.
+    def _bit_sum_table(self, out: np.ndarray | None = None) -> np.ndarray:
+        """(N, K) table whose row c-1 is category c's bit-row sum, ascending from +0.0; ``out`` if given.
 
-        Doubling: ``S[2**h + r] = S[r] + w[h]`` for r < 2**h, so ``width``
-        vector adds fill every row, each adding the high bit last as the
-        scalar sum does.  Only rows with bit h set get ``w[h]``, so an
-        infinite row stays out of the other categories.
+        Doubling, with S[0] = +0.0: S[2**h] is ``w[h] + 0.0``, and
+        ``S[2**h + r] = S[r] + w[h]`` for 0 < r < 2**h, so ``width`` steps
+        fill every row, each adding the high bit last as the scalar sum
+        does.  Only rows with bit h set get ``w[h]``, so an infinite row
+        stays out of the other categories.
         """
-        table = np.empty((self.n_categories + 1, self.k))
-        table[0] = 0.0
-        for h in range(self.width):
+        table = np.empty((self.n_categories, self.k)) if out is None else out
+        table[(1 << np.arange(self.width)) - 1] = self.bit_weights + 0.0
+        for h, row in enumerate(self.bit_weights):
             low = 1 << h
-            high = min(2 * low, table.shape[0])
-            np.add(table[: high - low], self.bit_weights[h], out=table[low:high])
+            high = min(2 * low, table.shape[0] + 1)
+            np.add(table[: high - low - 1], row, out=table[low : high - 1])
         return table
 
     def _plan_key(self) -> tuple[int, ...]:
@@ -471,43 +589,25 @@ class BinaryLayer(_BitEncoder):
     num_weights: np.ndarray  # (d, K)
     bias: np.ndarray  # (K,)
 
+    forward, apply_update, effective_contribution = _SHARED_STEP
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._into_buffer(self.width, bit_weights=self.bit_weights)
+
     @classmethod
     def _from_draws(cls, n_categories: int, **arrays) -> "BinaryLayer":
         return cls(n_categories=n_categories, **arrays)
 
-    def _rows(self, category: int) -> np.ndarray:
-        """0-based rows of the category's one-bits, ascending: ``encode(category, width).positions`` - 1.
-
-        Callers range-check first and pass the Python int the check returns.
-        """
-        return np.array(_one_bits(category))
-
-    def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        category, x = self._check_step(category, numerics)
-        rows = self._rows(category)
-        z = ordered_sum(np.concatenate((self.bit_weights[rows], self._numeric_terms(x), self.bias[None])))
-        if counters is not None:
-            counters.encoding_madds_dense += self.bit_weights.size
-            counters.encoding_madds_sparse += len(rows) * z.shape[0]
-        return z
+    def _term_rows(self, category: int) -> tuple[list[int], int]:
+        """The one-bits' rows, ascending: ``encode(category, width).positions`` - 1."""
+        return _one_bits(category), 0
 
     def _category_rows(self, plan: BatchPlan) -> np.ndarray:
         return self._bit_sum_batch(plan.bits)
 
-    def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.bias.shape[0], "delta")
-        rows = self._rows(category)
-        self.bit_weights[rows] -= delta
-        self._update_numerics_and_bias(x, delta)
-        if counters is not None:
-            counters.encoding_param_updates += len(rows) * delta.shape[0]
-
-    def effective_contribution(self, category: int) -> np.ndarray:
-        return ordered_sum(self.bit_weights[self._rows(self._check_category(category))])
-
-    def all_contributions(self) -> np.ndarray:
-        return self._bit_sum_table()[1:]
+    def all_contributions(self, out: np.ndarray | None = None) -> np.ndarray:
+        return self._bit_sum_table(out)
 
 
 @dataclass
@@ -538,36 +638,17 @@ class AugmentedBinaryLayer(_BitEncoder):
     bit_memory: np.ndarray  # (K, n)
     skip_category_memory_update: bool = field(default=False, repr=False)
 
+    forward, apply_update, effective_contribution = _SHARED_STEP
+
     def __post_init__(self):
         # Checked first: n_categories, and so the bit width, come from it.
-        cat_memory = self.cat_memory = _as_matrix(self.cat_memory, None, len(self.bias), "cat_memory")
+        self.cat_memory = _as_matrix(self.cat_memory, None, np.size(self.bias), "cat_memory")
         super().__post_init__()
         bit_memory = _as_matrix(self.bit_memory, self.k, self.width, "bit_memory")
-        n, bits_end = self.width, self.width + self.n_categories
-        memory_end = bits_end + n
-        # np.zeros leaves its pages unwritten; an all +0.0 category memory (a
-        # fresh layer's) is not copied, so its N x K block stays unwritten too.
-        buffer = self._buffer = np.zeros((memory_end + self.n_numeric + 1, self.k))
-        buffer[:n] = self.bit_weights
-        if cat_memory.view(np.uint64).any():  # any bit set: not all +0.0
-            buffer[n:bits_end] = cat_memory
-        buffer[bits_end:memory_end] = bit_memory.T
-        buffer[memory_end:-1] = self.num_weights
-        buffer[-1] = self.bias
-        self.bit_weights = buffer[:n]
-        self.cat_memory = buffer[n:bits_end]
-        self.bit_memory = buffer[bits_end:memory_end].T
-        self.num_weights = buffer[memory_end:-1]
-        self.bias = buffer[-1]
-        self._rows_record = (0, 0, None)  # (category, tail, rows) of the last _step_rows listing
-
-    def __reduce__(self):
-        """Copies and pickles rebuild the layer from its parameters, so a copy's views share the copy's own buffer.
-
-        Copied one by one, each view would leave the buffer, and writes
-        through ``params()`` would no longer reach ``forward``.
-        """
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        self._into_buffer(
+            2 * self.width + 1, bit_weights=self.bit_weights, cat_memory=self.cat_memory, bit_memory=bit_memory.T
+        )
+        self.bit_memory = self.bit_memory.T
 
     @classmethod
     def _from_draws(cls, n_categories: int, **arrays) -> "AugmentedBinaryLayer":
@@ -581,47 +662,12 @@ class AugmentedBinaryLayer(_BitEncoder):
     def n_categories(self) -> int:
         return self.cat_memory.shape[0]
 
-    def _step_rows(self, category: int, tail: int) -> np.ndarray:
-        """Buffer rows of one step, each block ascending; the caller must not write to them.
-
-        The one-bits' weight rows, the category memory row, the one-bits'
-        memory rows, then the buffer's last ``tail`` rows: the numeric rows
-        and the bias row, or none.  Callers range-check first and pass the
-        Python int the check returns.
-
-        The rows depend on the category and the tail alone, so the last
-        listing is kept and a call for the same pair returns it: a step's
-        forward lists them and its update reuses them.
-        """
-        record = self._rows_record
-        if record[0] == category and record[1] == tail:
-            return record[2]
+    def _term_rows(self, category: int) -> tuple[list[int], int]:
+        """The one-bits' weight rows, the category memory row, then the one-bits' memory rows, which are negated."""
+        bits = _one_bits(category)
         width = self.bit_weights.shape[0]
         memory = width + self.cat_memory.shape[0]  # the first bit-memory row
-        end = self._buffer.shape[0]
-        bits = _one_bits(category)
-        rows = [*bits, width + category - 1, *map(memory.__add__, bits), *range(end - tail, end)]
-        rows = np.array(rows, np.intp)
-        self._rows_record = (category, tail, rows)
-        return rows
-
-    def _step_terms(self, category: int, x: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """The step's terms in one gather, and the number of one-bits.
-
-        Rows: the one-bits' weight rows, the category memory row, the
-        negated memory of each one-bit and, given the numeric features
-        ``x``, the numeric terms ``num_weights[j] * x[j]`` and the bias.
-        The caller owns the array.
-        """
-        ones = category.bit_count()
-        tail = 0 if x is None else x.shape[0] + 1
-        terms = self._buffer.take(self._step_rows(category, tail), axis=0)
-        memories = terms[ones + 1 : 2 * ones + 1]
-        np.negative(memories, out=memories)
-        if x is not None:
-            numeric = terms[2 * ones + 1 : -1]
-            numeric *= x[:, None]
-        return terms, ones
+        return [*bits, width + category - 1, *map(memory.__add__, bits)], len(bits)
 
     def _add_memories(self, z: np.ndarray, plan: BatchPlan) -> np.ndarray:
         """Add each distinct category's memory to its row of ``z``, then subtract its one-bits' memories, ascending.
@@ -633,20 +679,6 @@ class AugmentedBinaryLayer(_BitEncoder):
             np.subtract(z, self.bit_memory[:, i], out=z, where=plan.bits[:, i, None])
         return z
 
-    def _count_forward(self, counters: OpCounters | None, ones: int) -> None:
-        if counters is not None:
-            width, k = self.bit_weights.shape
-            counters.encoding_madds_dense += (2 * width + 1) * k
-            counters.encoding_madds_sparse += (2 * ones + 1) * k
-
-    def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
-        """Bit rows + category memory - bit memories, then numeric terms, then bias."""
-        category, x = self._check_step(category, numerics)
-        terms, ones = self._step_terms(category, x)
-        z = ordered_sum(terms)
-        self._count_forward(counters, ones)
-        return z
-
     def forward_folded(self, category: int, numerics=(), counters: OpCounters | None = None) -> np.ndarray:
         """Same value, regrouped: memory terms folded into the bias first.
 
@@ -654,12 +686,11 @@ class AugmentedBinaryLayer(_BitEncoder):
         (budgeted at 1e-12 absolute per component).
         """
         category, x = self._check_step(category, numerics)
-        terms, ones = self._step_terms(category, x)
+        terms, count = self._step_terms(category, x, counters)
+        ones = count // 2
         # The adjusted bias starts from the bias itself, not from +0.0.
-        adjusted = np.add.accumulate(np.concatenate((terms[-1:], terms[ones : 2 * ones + 1])), axis=0)
-        z = ordered_sum(np.concatenate((terms[:ones], terms[2 * ones + 1 : -1], adjusted[-1:])))
-        self._count_forward(counters, ones)
-        return z
+        adjusted = np.add.accumulate(np.concatenate((terms[-1:], terms[ones:count])), axis=0)
+        return ordered_sum(np.concatenate((terms[:ones], terms[count:-1], adjusted[-1:])))
 
     def _category_rows(self, plan: BatchPlan) -> np.ndarray:
         return self._add_memories(self._bit_sum_batch(plan.bits), plan)
@@ -675,47 +706,24 @@ class AugmentedBinaryLayer(_BitEncoder):
         z = np.take(self._bit_sum_batch(plan.bits), plan.inverse, axis=0)
         return self._add_numerics_and_bias_batch(z, plan.numerics, np.take(adjusted, plan.inverse, axis=0))
 
-    def apply_update(self, category: int, numerics, delta: np.ndarray, counters: OpCounters | None = None) -> None:
-        """Subtract the same delta from bit rows, category memory, bit memory and bias in one scatter.
-
-        The bit-row and bit-memory changes cancel in every forward pass, so
-        only the category-memory change survives, and only for this category.
-        The rows are the forward's listing, so the scatter also takes the
-        numeric rows, each stepped by its own ``x[j] * delta``.
-        """
-        category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.bias.shape[0], "delta")
-        ones = category.bit_count()
-        rows = self._step_rows(category, x.shape[0] + 1)
-        if self.skip_category_memory_update:
-            rows = np.delete(rows, ones)  # the category memory row
-        stepped = self._buffer.take(rows, axis=0)  # buffer[rows] -= delta, gathering with the cheaper take
-        stepped -= delta
-        # The numeric rows take x[j] * delta instead, from their values before the step.
-        np.subtract(self.num_weights, x[:, None] * delta, out=stepped[-x.shape[0] - 1 : -1])
-        self._buffer[rows] = stepped
-        if counters is not None:
-            counters.encoding_param_updates += (2 * ones + 1) * delta.shape[0]
-
-    def effective_contribution(self, category: int) -> np.ndarray:
-        """Category-dependent part of the pre-activation."""
-        return ordered_sum(self._step_terms(self._check_category(category))[0])
-
-    def all_contributions(self) -> np.ndarray:
+    def all_contributions(self, out: np.ndarray | None = None) -> np.ndarray:
         """Bit sums, plus each category's memory, minus its one-bits' memories, ascending.
 
-        Row c of the table has bit i set in the second half of each block of
-        2**(i+1) rows: a strided view of the full blocks and a slice of the
-        partial last block reach exactly those rows, without a mask.
+        Row r of ``table[half - 1:]`` is category half + r, which has bit i
+        set in the first half of each block of 2**(i+1) rows: a strided view
+        of the full blocks and a slice of the partial last block reach
+        exactly those rows, without a mask.  ``out`` must be C-contiguous,
+        so that the strided view is a view.
         """
-        table = self._bit_sum_table()
-        table[1:] += self.cat_memory
+        table = self._bit_sum_table(out)
+        table += self.cat_memory
         for i in range(self.width):
             half = 1 << i
-            full = table.shape[0] // (2 * half) * 2 * half
-            table[:full].reshape(-1, 2, half, self.k)[:, 1] -= self.bit_memory[:, i]
-            table[full + half :] -= self.bit_memory[:, i]
-        return table[1:]
+            rows = table[half - 1 :]
+            full = rows.shape[0] // (2 * half) * 2 * half
+            rows[:full].reshape(-1, 2, half, self.k)[:, 0] -= self.bit_memory[:, i]
+            rows[full : full + half] -= self.bit_memory[:, i]
+        return table
 
 
 ENCODERS: dict[str, type[Encoder]] = {
@@ -723,6 +731,6 @@ ENCODERS: dict[str, type[Encoder]] = {
 }
 
 
-def contributions_matrix(encoder: Encoder) -> np.ndarray:
-    """The (N, K) matrix whose row c-1 is effective_contribution(c), bit for bit."""
-    return encoder.all_contributions()
+def contributions_matrix(encoder: Encoder, out: np.ndarray | None = None) -> np.ndarray:
+    """The (N, K) matrix whose row c-1 is effective_contribution(c), bit for bit; written into ``out`` if given."""
+    return encoder.all_contributions(out)

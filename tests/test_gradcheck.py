@@ -85,21 +85,24 @@ def test_numeric_oracle_confirms_memory_sign_asymmetry():
 @pytest.mark.parametrize("layout", ["fortran", "transposed"])
 def test_oracle_perturbs_non_contiguous_parameters(layout):
     # ravel() of a non-contiguous array is a copy: an oracle that perturbed it
-    # would leave the network as it was and report zero gradients.
-    net = _net("onehot", Activation.SIGMOID, hidden=(2, 2))
-    weights, table = net.layers[0].weights, net.encoder.cat_weights
+    # would leave the network as it was and report zero gradients.  An
+    # encoder's parameters are views of its buffer, written in place and never
+    # rebound; augmented's bit_memory is the transposed view among them.
+    net = _net("augmented", Activation.SIGMOID, hidden=(2, 2))
+    weights, memory = net.layers[0].weights, net.encoder.bit_memory.copy()
     if layout == "fortran":
-        net.layers[0].weights, net.encoder.cat_weights = np.asfortranarray(weights), np.asfortranarray(table)
+        net.layers[0].weights = np.asfortranarray(weights)
     else:
-        net.layers[0].weights, net.encoder.cat_weights = weights.T.copy().T, table.T.copy().T
-    assert not net.layers[0].weights.flags.c_contiguous and not net.encoder.cat_weights.flags.c_contiguous
+        net.layers[0].weights = weights.T.copy().T
+    assert not net.layers[0].weights.flags.c_contiguous and not net.encoder.bit_memory.flags.c_contiguous
     numerics, target = np.array([0.4, -0.6]), np.array([0.3, -0.1])
     result = check_gradients(net, 5, numerics, target)
     assert result.passed, str(result)
     numeric = numeric_gradients(net, 5, numerics, target)
     assert np.all(numeric["layers[0].weights"] != 0.0)
-    assert np.any(numeric["encoder.cat_weights"][4] != 0.0)
+    assert np.any(numeric["encoder.bit_memory"][:, [0, 2]] != 0.0)  # category 5: bits 1 and 3
     assert np.array_equal(net.layers[0].weights, weights)  # every entry put back
+    assert net.encoder.bit_memory.tobytes() == memory.tobytes()
 
 
 def test_oracle_sees_the_transposed_bit_memory():

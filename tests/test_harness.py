@@ -1,6 +1,7 @@
 """Equivalence harness tests: twins, lockstep drift, probes, replay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,25 @@ def test_twin_parameters_are_copies_not_views():
     net.encoder.bias[0] += 1.0
     assert pair.onehot.layers[0].weights[0, 0] != net.layers[0].weights[0, 0]
     assert pair.onehot.encoder.bias[0] != net.encoder.bias[0]
+
+
+def test_twin_build_allocates_one_category_block():
+    # The contributions are written into the twin's own rows: a copy of
+    # them into a second N x K block would raise the sgd-stream peak memory.
+    config = NetworkConfig(encoder_kind="augmented", n_categories=65536, n_numeric=3, k=32, hidden=(8, 1), seed=11)
+    net = build_network(config)
+    net.encoder.apply_update(3, np.zeros(3), np.full(32, 0.5))  # a non-zero category memory
+    tracemalloc.start()
+    try:
+        pair = build_onehot_twin(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One N x K float64 block, O(n K) besides, and the iteration buffers that
+    # a numpy ufunc call takes whatever N is: up to three of 8192 float64.
+    block, small, buffers = 65536 * 32 * 8, 17 * 32 * 8, 3 * 8192 * 8
+    assert peak <= block + 16 * small + buffers, peak
+    assert pair.onehot.encoder.cat_weights.tobytes() == contributions_matrix(net.encoder).tobytes()
 
 
 def test_twin_agreement_on_fresh_and_trained_networks():
@@ -533,7 +553,7 @@ def test_harness_looks_up_contributions_matrix_by_module_name(monkeypatch):
     assert "contributions_matrix" in vars(augbin.harness)
     calls = []
     real = augbin.harness.contributions_matrix
-    monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e: calls.append(e) or real(e))
+    monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e, **out: calls.append(e) or real(e, **out))
     net = _aug_net()
     build_onehot_twin(net)
     isolation_probe(net, 2, np.zeros(2), np.zeros(1), 0.1)
@@ -595,8 +615,8 @@ def test_replay_detects_injected_corruption():
 def test_replay_fails_on_a_nan_contribution(monkeypatch):
     real = AugmentedBinaryLayer.all_contributions
 
-    def nan_for_category_3(self):
-        out = real(self)
+    def nan_for_category_3(self, out=None):
+        out = real(self, out)
         out[2] = np.nan
         return out
 
@@ -735,7 +755,7 @@ def test_run_verification_reuses_each_probe_after_matrix(monkeypatch):
     # plus one build per step of the 50-step brute-force replay.
     calls = []
     real = augbin.harness.contributions_matrix
-    monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e: calls.append(e) or real(e))
+    monkeypatch.setattr(augbin.harness, "contributions_matrix", lambda e, **out: calls.append(e) or real(e, **out))
     run_verification(_SMALL_VERIFY)
     assert len(calls) == 3 + 2 * (1 + 5) + 50
 

@@ -29,7 +29,7 @@ from augbin import (
     encode,
     expected_counts,
 )
-from augbin.layers import ENCODERS
+from augbin.layers import ENCODERS, Encoder
 from augbin.rng import below_draws
 
 
@@ -359,6 +359,14 @@ def _binary_of_width(width):
     )
 
 
+def _rows(layer, category):
+    """0-based rows of a binary layer's step for the category's one-bits, ascending: ``encode(category, width).positions`` - 1.
+
+    Callers pass a Python int, as the layer's own input check hands it on.
+    """
+    return np.array(layer._term_rows(category)[0])
+
+
 def _encode_rows(category, width):
     return [position - 1 for position in encode(category, width).positions]
 
@@ -367,12 +375,12 @@ def test_positions_follow_encoding():
     for width in range(1, 9):
         layer = _binary_of_width(width)
         for category in range(1, 2**width):
-            assert layer._rows(category).tolist() == _encode_rows(category, width)
+            assert _rows(layer, category).tolist() == _encode_rows(category, width)
     layer = _binary_of_width(17)
     for category in (1, 2, 2**16 - 1, 2**16, 2**17 - 1):
-        assert layer._rows(category).tolist() == _encode_rows(category, 17)
+        assert _rows(layer, category).tolist() == _encode_rows(category, 17)
     for width in range(1, 71):  # the top category of each width, past 63 bits
-        assert _binary_of_width(width)._rows(2**width - 1).tolist() == _encode_rows(2**width - 1, width)
+        assert _rows(_binary_of_width(width), 2**width - 1).tolist() == _encode_rows(2**width - 1, width)
 
 
 @given(width=st.integers(1, 70), data=st.data())
@@ -380,7 +388,7 @@ def test_positions_follow_encoding():
 def test_rows_are_encode_positions_minus_one_at_any_width(width, data):
     # Python integers, not int64: a layer wider than 63 bits must work.
     category = data.draw(st.integers(1, 2**width - 1))
-    rows = _binary_of_width(width)._rows(category)
+    rows = _rows(_binary_of_width(width), category)
     assert rows.dtype.kind == "i"
     assert rows.tolist() == _encode_rows(category, width)
 
@@ -435,24 +443,76 @@ def test_params_lists_array_fields_in_order():
     assert [name for name, _ in _binary_fixture().params()] == ["bit_weights", "num_weights", "bias"]
 
 
+def _category_blocks(layer):
+    """The category blocks of a layer's buffer, in row order: (name, rows)."""
+    if layer.kind == "onehot":
+        return [("cat_weights", layer.n_categories)]
+    if layer.kind == "binary":
+        return [("bit_weights", layer.width)]
+    return [("bit_weights", layer.width), ("cat_memory", layer.n_categories), ("bit_memory", layer.width)]
+
+
 def _assert_views_of_one_buffer(layer):
-    """Every parameter is a row block of the (n + N + n + d + 1, K) buffer, in this order:
-    bit_weights, cat_memory, bit_memory (transposed), num_weights, then bias."""
-    n, count, d = layer.width, layer.n_categories, layer.n_numeric
+    """Every parameter is a row block of the (R + d + 1, K) buffer, in this order: the
+    category blocks (one-hot: cat_weights; binary: bit_weights; augmented: bit_weights,
+    cat_memory, bit_memory transposed), num_weights, then bias."""
     buffer = layer._buffer
-    assert buffer.shape == (2 * n + count + d + 1, layer.k) and buffer.flags.c_contiguous
-    blocks = {
-        "bit_weights": buffer[:n],
-        "cat_memory": buffer[n : n + count],
-        "bit_memory": buffer[n + count : 2 * n + count].T,
-        "num_weights": buffer[2 * n + count : -1],
-        "bias": buffer[-1],
-    }
+    blocks, start = {}, 0
+    for name, rows in _category_blocks(layer) + [("num_weights", layer.n_numeric)]:
+        blocks[name] = buffer[start : start + rows].T if name == "bit_memory" else buffer[start : start + rows]
+        start += rows
+    blocks["bias"] = buffer[-1]
+    assert buffer.shape == (start + 1, layer.k) and buffer.flags.c_contiguous
+    assert sorted(blocks) == sorted(name for name, _ in layer.params())
     for name, block in blocks.items():
         array = getattr(layer, name)
         # Same start, shape and strides: the same view, even where it is empty (d = 0).
         assert array.base is buffer and array.ctypes.data == block.ctypes.data, name
         assert array.shape == block.shape and array.strides == block.strides, name
+
+
+def _rebuilt(layer, **arrays):
+    """A new layer of ``layer``'s kind and size from copies of its parameters, ``arrays`` in place of any of them."""
+    extra = {"n_categories": layer.n_categories} if layer.kind == "binary" else {}
+    return type(layer)(**extra, **({name: array.copy() for name, array in layer.params()} | arrays))
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_every_kind_is_views_of_one_buffer_built_from_copies(kind):
+    _assert_views_of_one_buffer(ENCODERS[kind].fresh(37, 2, 4, SplitMix64(3)))
+    source = _filled_bit_layer(kind, 11)
+    # Non-contiguous caller arrays.
+    inputs = {name: np.asfortranarray(array) if array.ndim == 2 else np.repeat(array, 2)[::2]
+              for name, array in source.params()}
+    layer = _rebuilt(source, **inputs)
+    _assert_views_of_one_buffer(layer)
+    expected = {name: array.tobytes() for name, array in inputs.items()}
+    assert {name: array.tobytes() for name, array in layer.params()} == expected
+    for array in inputs.values():  # the layer holds copies
+        array[...] = 7.0
+    assert {name: array.tobytes() for name, array in layer.params()} == expected
+    # In-place writes through params() reach the buffer, and the forward reads them.
+    stream = SplitMix64(5)
+    for _, array in layer.params():
+        array[...] = stream.symmetric_array(array.shape, 1.0)
+    _assert_views_of_one_buffer(layer)
+    rebuilt, x = _rebuilt(layer), np.array([0.5, -2.0])
+    for category in range(1, 12):
+        assert layer.forward(category, x).tobytes() == rebuilt.forward(category, x).tobytes()
+
+
+@pytest.mark.parametrize("bias", [np.zeros((3, 3)), 0.0], ids=["matrix", "scalar"])
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_a_bias_that_is_not_a_vector_is_refused(kind, bias):
+    # The buffer takes K from the bias; an all +0.0 matrix would otherwise slip in unchecked.
+    with pytest.raises(InvalidArgumentError):
+        _rebuilt(ENCODERS[kind].fresh(5, 1, 3, SplitMix64(1)), bias=bias)
+
+
+@pytest.mark.parametrize("cls", list(ENCODERS.values()), ids=list(ENCODERS))
+def test_each_class_binds_the_one_step_kernel(cls):
+    for method in ("forward", "apply_update", "effective_contribution"):
+        assert cls.__dict__[method] is Encoder.__dict__[method], f"{cls.__name__}.{method}"
 
 
 def test_augmented_families_are_views_of_one_buffer_built_from_copies():
@@ -606,8 +666,9 @@ def _filled_bit_layer(kind, n_categories, k=3, n_numeric=2, seed=0):
 @pytest.mark.parametrize(
     "copier", [copy.deepcopy, lambda layer: pickle.loads(pickle.dumps(layer))], ids=["deepcopy", "pickle"]
 )
-def test_a_copied_augmented_layer_keeps_its_views_on_its_own_buffer(copier):
-    layer = _filled_bit_layer("augmented", 11)
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_a_copied_layer_keeps_its_views_on_its_own_buffer(kind, copier):
+    layer = _filled_bit_layer(kind, 11)
     x, delta = np.array([0.5, -2.0]), np.array([0.25, -0.5, 1.0])
     layer.forward(6, x)  # leaves a step-rows record behind
     twin = copier(layer)
@@ -624,8 +685,7 @@ def test_a_copied_augmented_layer_keeps_its_views_on_its_own_buffer(copier):
     stream = SplitMix64(5)
     for _, array in twin.params():
         array[...] = stream.symmetric_array(array.shape, 1.0)
-    rebuilt = AugmentedBinaryLayer(**dict(twin.params()))
-    assert twin.forward(6, x).tobytes() == rebuilt.forward(6, x).tobytes() != z.tobytes()
+    assert twin.forward(6, x).tobytes() == _rebuilt(twin).forward(6, x).tobytes() != z.tobytes()
     assert layer._buffer.tobytes() == original.tobytes()
     assert layer.forward(6, x).tobytes() == z.tobytes()
 

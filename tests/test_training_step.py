@@ -9,6 +9,7 @@ on the loops, and the tests require the two to agree byte for byte.
 
 import contextlib
 import copy
+import sys
 from unittest import mock
 
 import numpy as np
@@ -65,6 +66,11 @@ def loop_backprop_deltas(self, cache, target):
     return deltas
 
 
+def _check_example(encoder, category, numerics):
+    """The encoder's input check, numeric features alone: the loops below keep their own category."""
+    return encoder._check_step(category, numerics)[1]
+
+
 def _positions(encoder, category):
     return encode(category, encoder.width).positions
 
@@ -98,7 +104,7 @@ def _loop_update_bits_numerics_and_bias(encoder, x, positions, delta):
 
 
 def loop_onehot_forward(self, category, numerics=(), counters=None):
-    x = self._check_example(category, numerics)
+    x = _check_example(self, category, numerics)
     z = _loop_numerics_and_bias(self, self.cat_weights[category - 1].copy(), x, self.bias)
     if counters is not None:
         counters.encoding_madds_dense += self.n_categories * self.k
@@ -107,7 +113,7 @@ def loop_onehot_forward(self, category, numerics=(), counters=None):
 
 
 def loop_binary_forward(self, category, numerics=(), counters=None):
-    x = self._check_example(category, numerics)
+    x = _check_example(self, category, numerics)
     positions = _positions(self, category)
     z = _loop_numerics_and_bias(self, _loop_bit_sum(self, positions), x, self.bias)
     if counters is not None:
@@ -117,7 +123,7 @@ def loop_binary_forward(self, category, numerics=(), counters=None):
 
 
 def loop_binary_update(self, category, numerics, delta, counters=None):
-    x = self._check_example(category, numerics)
+    x = _check_example(self, category, numerics)
     positions = _positions(self, category)
     _loop_update_bits_numerics_and_bias(self, x, positions, np.asarray(delta, dtype=np.float64))
     if counters is not None:
@@ -137,7 +143,7 @@ def _count_augmented_forward(self, counters, ones):
 
 def loop_augmented_forward(self, category, numerics=(), counters=None):
     """The whole category term first (bit rows, category memory, bit memories), then numerics, then bias."""
-    x = self._check_example(category, numerics)
+    x = _check_example(self, category, numerics)
     positions = _positions(self, category)
     z = _loop_add_memories(self, _loop_bit_sum(self, positions), category, positions)
     z = _loop_numerics_and_bias(self, z, x, self.bias)
@@ -146,7 +152,7 @@ def loop_augmented_forward(self, category, numerics=(), counters=None):
 
 
 def loop_augmented_folded(self, category, numerics=(), counters=None):
-    x = self._check_example(category, numerics)
+    x = _check_example(self, category, numerics)
     positions = _positions(self, category)
     adjusted = _loop_add_memories(self, self.bias.copy(), category, positions)
     z = _loop_numerics_and_bias(self, _loop_bit_sum(self, positions), x, adjusted)
@@ -155,7 +161,7 @@ def loop_augmented_folded(self, category, numerics=(), counters=None):
 
 
 def loop_augmented_update(self, category, numerics, delta, counters=None):
-    x = self._check_example(category, numerics)
+    x = _check_example(self, category, numerics)
     delta = np.asarray(delta, dtype=np.float64)
     positions = _positions(self, category)
     if not self.skip_category_memory_update:
@@ -423,6 +429,46 @@ def test_augmented_sgd_step_lists_its_rows_once(monkeypatch, folded):
     assert listed == categories  # the forward lists, the update reuses
     net.sgd_step(1, np.array([0.5, -1.0, 2.0]), np.array([0.25]), 0.1)
     assert listed == categories  # the same category again: nothing to list
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_sgd_step_lists_its_rows_once_for_every_kind(monkeypatch, kind):
+    net = build_network(NetworkConfig(encoder_kind=kind, n_categories=1024, n_numeric=3, k=4, hidden=(3, 1), seed=2))
+    listed = []
+    cls = type(net.encoder)
+    term_rows = cls._term_rows
+    monkeypatch.setattr(cls, "_term_rows", lambda self, category: listed.append(category) or term_rows(self, category))
+    categories = [5, 1024, 17, 5, 1023, 1]  # no category twice in a row
+    for category in categories:
+        net.sgd_step(category, np.array([0.5, -1.0, 2.0]), np.array([0.25]), 0.1)
+    assert listed == categories  # the forward lists, the update reuses
+    net.sgd_step(1, np.array([0.5, -1.0, 2.0]), np.array([0.25]), 0.1)
+    assert listed == categories  # the same category again: nothing to list
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_a_warm_step_makes_as_many_c_calls_at_16_as_at_65536_categories(kind):
+    """No per-step cost grows with N: one warm ``sgd_step`` calls the same C functions at N=2**4 and N=2**16.
+
+    ``sys.setprofile`` reports a ``c_call`` for each C function or method
+    called by name (``take``, ``np.array``, ``accumulate``, ...), not for
+    ufunc calls or operators.  Both categories have three one-bits, so the
+    bit kinds list as many rows at either size.
+    """
+    counts = []
+    for n_categories, category in ((2**4, 0b1011), (2**16, 0b1000_0000_0000_0011)):
+        config = NetworkConfig(encoder_kind=kind, n_categories=n_categories, n_numeric=3, k=8, hidden=(8, 1), seed=1)
+        net = build_network(config)
+        x, target, counters = np.array([0.5, -1.0, 0.25]), np.array([0.5]), OpCounters()
+        net.sgd_step(0b111, x, target, 0.1, counters)  # warm, on another category
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
+        try:
+            net.sgd_step(category, x, target, 0.1, counters)
+        finally:
+            sys.setprofile(None)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _prepare_update(case, layer, x):
