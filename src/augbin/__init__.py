@@ -63,6 +63,7 @@ from .network import (
     Activation,
     DenseLayer,
     ForwardCache,
+    LossPlan,
     Network,
     NetworkConfig,
     SgdConfig,
@@ -70,6 +71,7 @@ from .network import (
     mean_loss,
     mse_gradient,
     mse_loss,
+    plan_loss,
     run_sgd,
 )
 from .report import (
@@ -97,6 +99,7 @@ __all__ = [
     "ForwardCache",
     "GradCheckResult",
     "InvalidArgumentError",
+    "LossPlan",
     "Network",
     "NetworkConfig",
     "NumericError",
@@ -137,6 +140,7 @@ __all__ = [
     "mse_gradient",
     "mse_loss",
     "numeric_gradients",
+    "plan_loss",
     "probe_inputs",
     "read_report",
     "relu_margin",

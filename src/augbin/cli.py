@@ -40,11 +40,12 @@ from .harness import VerifyConfig, run_verification
 from .layers import ENCODERS
 from .network import (
     Activation,
-    Batch,
+    LossPlan,
     NetworkConfig,
     SgdConfig,
     build_network,
     mean_loss,
+    plan_loss,
     run_sgd,
 )
 from .report import make_report, render_report, write_report
@@ -226,13 +227,18 @@ def _train_architecture(hidden: tuple[int, ...], target_width: int, encoder_kind
     )
 
 
+def _plan_rows(network, dataset) -> LossPlan:
+    """The dataset's rows planned for ``network``, its ids handed over as one int64 array."""
+    return plan_loss(network, np.array(dataset.categories, dtype=np.int64), dataset.numerics, dataset.targets)
+
+
 def _cmd_train(options: dict) -> int:
     hidden = options["hidden"]
     if not 0.0 <= options["split"] < 1.0:
         raise InvalidArgumentError(f"--split must be in [0, 1), got {options['split']}")
-    eval_examples = None
+    held_out = None
     if options["split"] > 0.0:
-        dataset, eval_examples = load_csv_split(
+        dataset, held_out = load_csv_split(
             options["data"], options["split"], options["split_seed"]
         )
     else:
@@ -249,12 +255,7 @@ def _cmd_train(options: dict) -> int:
     network.folded_forward = options["folded"]
     counters = OpCounters()
     started = time.perf_counter()
-    losses = run_sgd(
-        network,
-        Batch(np.array(dataset.categories, dtype=np.int64), dataset.numerics, dataset.targets),
-        SgdConfig(options["lr"], options["steps"]),
-        counters,
-    )
+    losses = run_sgd(network, _plan_rows(network, dataset), SgdConfig(options["lr"], options["steps"]), counters)
     elapsed = time.perf_counter() - started
     timings = {"train_seconds": elapsed} if options["time"] else {}
     report = make_report(
@@ -275,9 +276,9 @@ def _cmd_train(options: dict) -> int:
         counters=counters.as_dict(),
         timings=timings,
     )
-    if eval_examples is not None:
-        held_out = mean_loss(network, eval_examples) if eval_examples else float("nan")
-        print(f"held-out mean loss {held_out:.12g} over {len(eval_examples)} rows")
+    if held_out is not None:
+        loss = mean_loss(network, _plan_rows(network, held_out)) if held_out.n_rows else float("nan")
+        print(f"held-out mean loss {loss:.12g} over {held_out.n_rows} rows")
     if options["report"]:
         write_report(report, options["report"])
         print(f"final loss {losses[-1]:.12g} after {options['steps']} steps; "

@@ -233,25 +233,20 @@ def load_csv(path) -> Dataset:
     return Dataset(vocab=vocab, categories=categories, numerics=numerics, targets=targets, schema=schema)
 
 
-def load_csv_split(path, eval_fraction: float, seed: int):
+def load_csv_split(path, eval_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Load with a deterministic held-out split; vocab from training rows only.
 
-    Returns (train dataset, eval examples).  An eval row whose category never
-    appears in the training rows raises VocabMissError, since the model has
-    no id for it.
+    Returns (train dataset, held-out dataset), both on the training
+    vocabulary.  A held-out row whose category never appears in the training
+    rows raises VocabMissError, since the model has no id for it.
     """
     schema, raw_labels, numerics, targets = _parse_table(path)
     train_idx, eval_idx = split_rows(len(raw_labels), eval_fraction, seed)
     vocab = build_vocab([raw_labels[i] for i in train_idx])
-    train = Dataset(
-        vocab=vocab,
-        categories=[vocab.id_of(raw_labels[i]) for i in train_idx],
-        numerics=numerics[train_idx],
-        targets=targets[train_idx],
-        schema=schema,
+    return tuple(
+        Dataset(vocab, [vocab.id_of(raw_labels[i]) for i in rows], numerics[rows], targets[rows], schema)
+        for rows in (train_idx, eval_idx)
     )
-    eval_examples = [(vocab.id_of(raw_labels[i]), numerics[i], targets[i]) for i in eval_idx]
-    return train, eval_examples
 
 
 def _render_float(value: float) -> str:

@@ -125,12 +125,14 @@ def _worst(values) -> float:
 
 
 def twin_forward_max_diff(pair: TwinPair, probes) -> float:
-    """Largest per-component output difference over (category, numerics) probes."""
+    """Largest per-component output difference over (category, numerics) probes.
+
+    The twins share N and d, so one plan of the probes serves both.
+    """
     categories = [category for category, _ in probes]
     numerics = np.reshape([x for _, x in probes], (len(categories), pair.augmented.encoder.n_numeric))
-    out_a = pair.augmented.predict_batch(categories, numerics)
-    out_o = pair.onehot.predict_batch(categories, numerics)
-    return _worst(np.abs(out_a - out_o))
+    plan = pair.augmented.encoder.plan_batch(categories, numerics)
+    return _worst(np.abs(pair.augmented.predict_plan(plan) - pair.onehot.predict_plan(plan)))
 
 
 @dataclass

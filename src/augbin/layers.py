@@ -92,12 +92,14 @@ int, and the bit kinds list its one-bits off that int one set bit at a time
 
 Batched evaluation is one-hot evaluation for every kind.  ``plan_batch``
 checks B inputs once and keeps what depends on the categories alone: the
-U <= min(B, N) distinct categories, each row's index among them and, for a
-bit encoder, their bits (:class:`BatchPlan`).  ``forward_batch(plan)``, on
-the base, builds the category term of each distinct category
-(``_category_rows``: a one-hot row, or a masked bit-row sum, plus for
-augmented the category memory and the masked bit-memory subtractions),
-gathers those U rows to the B rows and adds the numeric terms and the bias.
+U <= min(B, N) distinct categories, each row's index among them and their
+bits (:class:`BatchPlan`).  A plan depends on N and d alone, so one plan
+serves every kind of that shape, both networks of a twin pair among them.
+``forward_batch(plan)``, on the base, builds the category term of each
+distinct category (``_category_rows``: a one-hot row, or a masked bit-row
+sum, plus for augmented the category memory and the masked bit-memory
+subtractions), gathers those U rows to the B rows and adds the numeric
+terms and the bias.
 ``forward_batch_folded`` builds the folded path's adjusted bias per distinct
 category the same way.  ``all_contributions`` evaluates every category's
 contribution at once for the harness, building the bit-row sums of
@@ -147,7 +149,7 @@ def category_index(category) -> int:
             return operator.index(category)
         except TypeError:
             pass
-    raise InvalidArgumentError(f"category must be an integer, got {category!r}")
+    raise InvalidArgumentError(f"category ids must be integers, got {category!r}")
 
 
 def _one_bits(category: int) -> list[int]:
@@ -185,6 +187,10 @@ def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     return (total[:, -1] if axis else total[-1]) + 0.0
 
 
+# _check_step's default: check the category alone.  Not None, which stays an invalid numerics argument.
+_CATEGORY_ONLY = object()
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A view of ``arr`` that refuses writes; ``arr`` itself stays writable."""
     view = arr.view()
@@ -199,19 +205,19 @@ class BatchPlan:
     ``ids`` (B,) int64 and ``numerics`` (B, d) float are the checked inputs.
     ``distinct`` holds the U <= min(B, N) distinct categories, ascending,
     ``inverse`` each row's index among them, and ``bits`` their (U, width)
-    bits for a bit encoder (None for one-hot).  ``key`` is what the plan was
-    built for: N, d and a bit encoder's width.  Nothing here depends on
-    parameters, so one plan serves every evaluation of its batch while the
-    encoder trains.  Build it with :meth:`Encoder.plan_batch`; its arrays are
-    read-only views.
+    bits, width ``bit_width(N)``.  ``key`` is what the plan was built for: N
+    and d, which fix the width too, so one plan serves every encoder kind of
+    that shape.  Nothing here depends on parameters, so one plan serves every
+    evaluation of its batch while the encoder trains.  Build it with
+    :meth:`Encoder.plan_batch`; its arrays are read-only views.
     """
 
-    key: tuple[int, ...]
+    key: tuple[int, int]
     ids: np.ndarray
     numerics: np.ndarray
     distinct: np.ndarray
     inverse: np.ndarray
-    bits: np.ndarray | None
+    bits: np.ndarray
 
 
 class Encoder:
@@ -253,7 +259,10 @@ class Encoder:
         for name, block in blocks.items():
             view = buffer[end : end + len(block)]
             end += len(block)
-            if block.view(np.uint64).any():  # any bit set: not all +0.0
+            bits = block.view(np.uint64)
+            if not any(block.strides):  # a broadcast scalar: its one element stands for every entry
+                bits = bits[:1, :1]
+            if bits.any():  # any bit set: not all +0.0
                 view[...] = block
             setattr(self, name, view)
         self.bias = buffer[-1]
@@ -286,26 +295,25 @@ class Encoder:
     def param_count(self) -> int:
         return sum(arr.size for _, arr in self.params())
 
-    def _check_category(self, category: int) -> int:
-        """Range-check a category id; returns it as a Python int, whatever integer type it came as."""
-        index = category_index(category)
-        if not 1 <= index <= self.n_categories:
-            raise RangeError(f"category {category} out of 1..{self.n_categories}")
-        return index
-
-    def _check_step(self, category: int, numerics) -> tuple[int, np.ndarray]:
+    def _check_step(self, category: int, numerics=_CATEGORY_ONLY) -> tuple[int, np.ndarray | None]:
         """Validate one input; returns the category as a Python int and the numeric features as a float vector.
 
-        The per-example methods compute with that int, never with the
-        caller's object: a numpy integer would do their index arithmetic in
-        its own dtype, where ``width + category - 1`` can wrap.  This is
-        :meth:`_check_category` inlined, with a Python int passed through:
-        the training step checks twice, so it calls no helper.
+        Without a ``numerics`` argument only the category is checked, and
+        None comes back in their place (``effective_contribution``).  The per-example
+        methods compute with that int, never with the caller's object: a
+        numpy integer would do their index arithmetic in its own dtype, where
+        ``width + category - 1`` can wrap.  A Python int is passed through
+        and no helper is called: the training step checks twice.
         """
         index = category if type(category) is int else category_index(category)
         if not 1 <= index <= self.n_categories:
             raise RangeError(f"category {category} out of 1..{self.n_categories}")
-        x = np.asarray(numerics, dtype=np.float64)
+        if numerics is _CATEGORY_ONLY:
+            return index, None
+        try:
+            x = np.asarray(numerics, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or not numbers
+            raise InvalidArgumentError("numerics must be a numeric vector") from None
         if x.shape != self.num_weights.shape[:1]:
             raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
         return index, x
@@ -313,12 +321,15 @@ class Encoder:
     def _check_batch(self, categories, numerics) -> tuple[np.ndarray, np.ndarray]:
         """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics.
 
-        The ids must be integers: a float, bool or string array is refused, not truncated.
+        The ids must be integers: a float, bool or string is refused, not
+        truncated.  An ndarray of ids is checked at once by its dtype; any
+        other sequence one id at a time, as ``forward`` checks its one id, so
+        a bool among integers is refused, not read as 0 or 1.
         """
-        ids = np.asarray(categories)
+        ids = np.asarray(categories, dtype=None if isinstance(categories, np.ndarray) else object)
         if ids.ndim != 1:
             raise InvalidArgumentError(f"categories must be 1-d, got shape {ids.shape}")
-        if ids.dtype == object:  # numpy keeps a Python int beyond int64 as an object
+        if ids.dtype == object:  # a sequence, or an array of Python ints beyond int64
             values = [category_index(category) for category in ids]
             bad = [category for category in values if not 1 <= category <= self.n_categories]
             if bad:
@@ -330,7 +341,10 @@ class Encoder:
         if bad.any():
             raise RangeError(f"category {ids[bad][0]} out of 1..{self.n_categories}")
         ids = ids.astype(np.int64, copy=False)  # after the range check, so no uint64 id wraps
-        x = np.asarray(numerics, dtype=np.float64)
+        try:
+            x = np.asarray(numerics, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or not numbers
+            raise InvalidArgumentError("numerics must be numeric vectors of one length") from None
         if x.shape != (ids.shape[0], self.n_numeric):
             raise InvalidArgumentError(
                 f"expected {ids.shape[0]} rows of {self.n_numeric} numeric features, got shape {x.shape}"
@@ -420,27 +434,19 @@ class Encoder:
 
     def effective_contribution(self, category: int) -> np.ndarray:
         """Category-dependent part of the pre-activation: the category term, summed as ``forward`` sums it."""
-        terms, _ = self._step_terms(self._check_category(category))
+        terms, _ = self._step_terms(*self._check_step(category))
         return ordered_sum(terms) if self._from_zero else np.add.accumulate(terms, axis=0)[-1]
 
-    def _plan_key(self) -> tuple[int, ...]:
+    def _plan_key(self) -> tuple[int, int]:
         """What a plan must be built for to serve this encoder: N and d."""
         return (self.n_categories, self.n_numeric)
-
-    def _plan_bits(self, distinct: np.ndarray) -> np.ndarray | None:
-        """The bits a plan keeps of its distinct categories; one-hot keeps none."""
-        return None
 
     def plan_batch(self, categories, numerics) -> BatchPlan:
         """Check B inputs once, (B,) ids and (B, d) numerics, and plan their category-only work."""
         ids, x = self._check_batch(categories, numerics)
         distinct, inverse = np.unique(ids, return_inverse=True)
-        bits = self._plan_bits(distinct)
-        return BatchPlan(
-            self._plan_key(),
-            *(_read_only(arr) for arr in (ids, x, distinct, inverse)),
-            None if bits is None else _read_only(bits),
-        )
+        bits = bit_matrix(distinct, bit_width(self.n_categories))
+        return BatchPlan(self._plan_key(), *(_read_only(arr) for arr in (ids, x, distinct, inverse, bits)))
 
     def _check_plan(self, plan: BatchPlan) -> None:
         if plan.key != self._plan_key():
@@ -467,7 +473,7 @@ class Encoder:
 _SHARED_STEP = (Encoder.forward, Encoder.apply_update, Encoder.effective_contribution)
 
 
-@dataclass
+@dataclass(eq=False)
 class OneHotLayer(Encoder):
     """One weight row per category; a step reads and writes only its category's row."""
 
@@ -554,12 +560,6 @@ class _BitEncoder(Encoder):
             np.add(table[: high - low - 1], row, out=table[low : high - 1])
         return table
 
-    def _plan_key(self) -> tuple[int, ...]:
-        return (*super()._plan_key(), self.width)
-
-    def _plan_bits(self, distinct: np.ndarray) -> np.ndarray:
-        return bit_matrix(distinct, self.width)
-
     def _bit_sum_batch(self, bits: np.ndarray) -> np.ndarray:
         """Bit-row sum of each row of ``bits``: it adds the weight rows of its one-bits, ascending, from +0.0.
 
@@ -574,7 +574,7 @@ class _BitEncoder(Encoder):
         return z
 
 
-@dataclass
+@dataclass(eq=False)
 class BinaryLayer(_BitEncoder):
     """One weight row per bit; the deliberate negative control.
 
@@ -610,7 +610,7 @@ class BinaryLayer(_BitEncoder):
         return self._bit_sum_table(out)
 
 
-@dataclass
+@dataclass(eq=False)
 class AugmentedBinaryLayer(_BitEncoder):
     """Binary encoding plus two correction memories that restore isolation.
 

@@ -27,7 +27,7 @@ accumulate at all.  The tests keep those loops as oracles.  Each piece of
 the step runs once: no helper re-reads a shape through a property, and the
 encoder's update reuses the rows its forward listed.
 
-Evaluation (:func:`mean_loss`, :meth:`Network.predict_batch`) is batched over
+Evaluation (:func:`mean_loss`, :meth:`Network.predict_plan`) is batched over
 rows: each layer runs once on a (B, width) array instead of once per row.
 The batch axis is the only new axis; every element is still accumulated in
 the per-example order (the whole category term, numerics, bias; dense fan-in
@@ -35,12 +35,15 @@ ascending; output columns ascending; rows summed left to right), so the
 batched loss equals the one-row-at-a-time loop bit for bit.  That loop,
 ``predict`` plus ``mse_loss`` per row, is kept in the tests as the oracle.
 
-A batch is checked and planned once: :func:`plan_loss` turns a
-:class:`Batch` into a :class:`LossPlan`, the encoder's
+A batch has one form from rows to loss.  :func:`plan_loss` checks its
+three arrays, (B,) category ids, (B, d) numerics and (B, w) targets, once
+and turns them into a :class:`LossPlan`: the encoder's
 :class:`~augbin.layers.BatchPlan` (checked int64 ids, numerics, distinct
-categories, inverse, bits) plus the targets.  It depends on the batch and on
-the encoder's shape, never on parameters, so :func:`run_sgd` builds one and
-hands it to each of its ``steps + 1`` :func:`mean_loss` calls.
+categories, inverse, bits) plus the targets.  :func:`mean_loss` and
+:func:`run_sgd` take only a plan.  It depends on the rows and on N and d,
+never on parameters or on the encoder kind, so one plan serves every
+evaluation of its rows while the network trains: the ``steps + 1``
+:func:`mean_loss` calls of :func:`run_sgd` and a held-out loss after it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, category_index, ordered_sum
+from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, ordered_sum
 from .rng import SplitMix64
 
 
@@ -97,7 +100,7 @@ def _check_finite(z: np.ndarray, stage: str) -> None:
         raise NumericError(f"non-finite {stage} pre-activation")
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseLayer:
     """Fully connected layer: out = activation(weights.T @ x + bias)."""
 
@@ -257,15 +260,11 @@ class Network:
     def predict(self, category: int, numerics=()) -> np.ndarray:
         return self.forward(category, numerics).output
 
-    def predict_batch(self, categories, numerics) -> np.ndarray:
-        """Outputs of B rows, (B, output_width).
-
-        Row r equals ``predict(categories[r], numerics[r])`` bit for bit.
-        """
-        return self.predict_plan(self.encoder.plan_batch(categories, numerics))
-
     def predict_plan(self, plan: BatchPlan) -> np.ndarray:
-        """:meth:`predict_batch` of a batch the encoder has planned."""
+        """Outputs of the plan's B rows, (B, output_width).
+
+        Row r equals ``predict(plan.ids[r], plan.numerics[r])`` bit for bit.
+        """
         if self.folded_forward and isinstance(self.encoder, AugmentedBinaryLayer):
             z = self.encoder.forward_batch_folded(plan)
         else:
@@ -377,75 +376,42 @@ class SgdConfig:
 
 
 @dataclass(frozen=True)
-class Batch:
-    """Examples stacked once for :func:`mean_loss` and :func:`run_sgd`.
-
-    B categories, (B, d) numerics, (B, w) targets.
-    """
-
-    categories: np.ndarray
-    numerics: np.ndarray
-    targets: np.ndarray
-
-
-def _stack_rows(rows, name: str) -> np.ndarray:
-    """Equal-length vectors as one (B, length) float array."""
-    message = f"{name} must be numeric vectors of one length"
-    try:
-        stacked = np.array(rows, dtype=np.float64)
-    except ValueError:  # ragged rows
-        raise InvalidArgumentError(message) from None
-    if stacked.ndim != 2:
-        raise InvalidArgumentError(message)
-    return stacked
-
-
-def stack_examples(examples) -> Batch:
-    """Stack (category, numerics, target) triples into a :class:`Batch`."""
-    examples = list(examples)
-    if not examples:
-        raise InvalidArgumentError("no examples")
-    categories, numerics, targets = zip(*examples)
-    ids = [category_index(c) for c in categories]
-    try:
-        ids = np.array(ids, dtype=np.int64)
-    except OverflowError:  # an id beyond int64: the encoder's batch check names it
-        ids = np.array(ids, dtype=object)
-    return Batch(
-        ids,
-        _stack_rows(numerics, "numerics"),
-        _stack_rows(targets, "targets"),
-    )
-
-
-@dataclass(frozen=True)
 class LossPlan:
-    """A :class:`Batch` checked once against a network's encoder, for :func:`mean_loss`.
+    """B rows checked once against a network's encoder shape, for :func:`mean_loss` and :func:`run_sgd`.
 
-    ``inputs`` is the encoder's plan of the rows, ``targets`` the (B, w) targets.
+    ``inputs`` is the encoder's plan of the rows, ``targets`` the (B, w)
+    targets.  Build it with :func:`plan_loss`.
     """
 
     inputs: BatchPlan
     targets: np.ndarray
 
 
-def plan_loss(network: Network, examples) -> LossPlan:
-    """Check and plan ``examples``, a :class:`Batch` or (category, numerics, target) triples."""
-    batch = examples if isinstance(examples, Batch) else stack_examples(examples)
-    if not len(batch.categories):
-        raise InvalidArgumentError("no examples")
-    return LossPlan(network.encoder.plan_batch(batch.categories, batch.numerics), batch.targets)
+def plan_loss(network: Network, categories, numerics, targets) -> LossPlan:
+    """Check and plan B rows: (B,) category ids, (B, d) numerics and (B, w) targets.
 
-
-def mean_loss(network: Network, examples) -> float:
-    """Mean MSE over (category, numerics, target) triples, in row order.
-
-    ``examples`` is an iterable of triples, a :class:`Batch` or a
-    :class:`LossPlan`.  All rows go through :meth:`Network.predict_plan` at
-    once; the per-row MSE sums the output columns in ascending order and the
-    rows are summed strictly left to right, as the one-row-at-a-time loop does.
+    The ids go through :meth:`~augbin.layers.Encoder.plan_batch`: an
+    ndarray is checked by its dtype, any other sequence one id at a time.
     """
-    plan = examples if isinstance(examples, LossPlan) else plan_loss(network, examples)
+    message = "targets must be numeric vectors of one length"
+    try:
+        targets = np.array(targets, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows, or not numbers
+        raise InvalidArgumentError(message) from None
+    if targets.shape[:1] == (0,):
+        raise InvalidArgumentError("no examples")
+    if targets.ndim != 2:
+        raise InvalidArgumentError(message)
+    return LossPlan(network.encoder.plan_batch(categories, numerics), targets)
+
+
+def mean_loss(network: Network, plan: LossPlan) -> float:
+    """Mean MSE over the plan's rows, in row order.
+
+    All rows go through :meth:`Network.predict_plan` at once; the per-row
+    MSE sums the output columns in ascending order and the rows are summed
+    strictly left to right, as the one-row-at-a-time loop does.
+    """
     outputs = network.predict_plan(plan.inputs)
     if outputs.shape != plan.targets.shape:
         raise InvalidArgumentError("output and target shapes differ")
@@ -462,19 +428,16 @@ def mean_loss(network: Network, examples) -> float:
 
 def run_sgd(
     network: Network,
-    examples,
+    plan: LossPlan,
     config: SgdConfig,
     counters: OpCounters | None = None,
 ) -> list[float]:
-    """Train by cycling through examples in order for config.steps steps.
+    """Train by cycling through the plan's rows in order for config.steps steps.
 
-    ``examples`` is a :class:`Batch` or an iterable of (category, numerics,
-    target) triples, which is stacked into one.  Step ``s`` trains on row
-    ``s % B`` of the batch.  Returns the mean batch loss before training and
-    after every step (length steps + 1), each one batched pass over the one
-    :class:`LossPlan` built here.
+    Step ``s`` trains on row ``s % B``.  Returns the mean loss over the plan
+    before training and after every step (length steps + 1), each one
+    batched pass over the plan.
     """
-    plan = plan_loss(network, examples)
     ids, numerics = plan.inputs.ids, plan.inputs.numerics
     losses = [mean_loss(network, plan)]
     for step in range(config.steps):

@@ -3,11 +3,13 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
+import augbin.cli
 import augbin.data
-import augbin.network
-from augbin import read_report, validate_report
+import augbin.layers
+from augbin import plan_loss, read_report, validate_report
 from augbin.cli import (
     BENCH_CSV_HEADER,
     BENCH_STEPS,
@@ -182,7 +184,9 @@ def test_train_reports_a_field_over_the_csv_limit_as_a_data_error(tmp_path, caps
 
 
 def test_train_hands_run_sgd_the_dataset_arrays(dataset_path, monkeypatch, capsys):
-    calls = []
+    # The training rows and the held-out rows are each planned once from
+    # the dataset's arrays: no row walk, no per-id check.
+    calls, id_arrays = [], []
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -193,12 +197,20 @@ def test_train_hands_run_sgd_the_dataset_arrays(dataset_path, monkeypatch, capsy
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(augbin.network, "stack_examples")
+    def planning(network, categories, *arrays):
+        id_arrays.append((type(categories), categories.dtype))
+        return plan_loss(network, categories, *arrays)
+
     counting(augbin.data.Dataset, "examples")
-    assert run(["train", "--data", str(dataset_path), "--encoding", "augmented",
-                "--hidden", "4", "--steps", "3"]) == EXIT_PASS
+    counting(augbin.layers, "category_index")
+    monkeypatch.setattr(augbin.cli, "plan_loss", planning)
+    train = ["train", "--data", str(dataset_path), "--encoding", "augmented", "--hidden", "4", "--steps", "3"]
+    assert run(train) == EXIT_PASS
     assert len(json.loads(capsys.readouterr().out)["losses"]) == 4
+    assert run([*train, "--split", "0.25"]) == EXIT_PASS
+    assert "held-out mean loss" in capsys.readouterr().out
     assert calls == []
+    assert id_arrays == [(np.ndarray, np.int64)] * 3
 
 
 @pytest.mark.parametrize("split", ["-0.5", "nan", "1.0", "inf"])

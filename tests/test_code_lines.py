@@ -2,9 +2,9 @@
 
 A code line is a line that holds a token of code: docstrings (any statement
 that is a bare string), comments and blank lines do not count.  The budget
-holds ``layers.py`` and the package total at the figures of the change that
-put every encoder on one step kernel; a change that needs more lines raises
-the figure here and says why.
+holds ``layers.py``, ``network.py`` and the package total at the figures of
+the change that gave a batch one form from rows to loss (``plan_loss``); a
+change that needs more lines raises the figure here and says why.
 """
 
 import ast
@@ -13,8 +13,9 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "augbin"
-LAYERS_BUDGET = 353
-PACKAGE_BUDGET = 2114
+LAYERS_BUDGET = 350
+NETWORK_BUDGET = 279
+PACKAGE_BUDGET = 2080
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -48,4 +49,5 @@ def f(x):  # a trailing comment
 def test_package_stays_within_its_code_line_budget():
     counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert counts["layers.py"] <= LAYERS_BUDGET, counts
+    assert counts["network.py"] <= NETWORK_BUDGET, counts
     assert sum(counts.values()) <= PACKAGE_BUDGET, counts

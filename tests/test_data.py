@@ -465,8 +465,9 @@ def test_load_csv_split_builds_vocab_from_training_rows(tmp_path):
     save_csv(synth_gen(11, 5, 1, 50, noise=0.0), path)
     train, held_out = load_csv_split(path, 0.2, 3)
     assert train.n_rows == 40
-    assert len(held_out) == 10
-    for category, numerics, target in held_out:
+    assert held_out.n_rows == 10
+    assert held_out.vocab is train.vocab and held_out.schema == train.schema
+    for category, numerics, target in held_out.examples():
         assert 1 <= category <= train.vocab.size
         assert numerics.shape == (1,)
         assert target.shape == (1,)

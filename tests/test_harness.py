@@ -502,10 +502,24 @@ def test_interference_errors_propagate_nan():
     assert not worst <= 1e-12
 
 
+def test_one_plan_serves_both_twins_bit_for_bit():
+    net = _aug_net(seed=3, n_categories=13)
+    for category, numerics, target in synthetic_stream(5, 13, 2, 1, 30):
+        net.sgd_step(category, numerics, target, 0.2)
+    pair = build_onehot_twin(net)
+    probes = probe_inputs(6, 13, 2, 40)
+    plan = pair.augmented.encoder.plan_batch([category for category, _ in probes], np.stack([x for _, x in probes]))
+    for twin in (pair.augmented, pair.onehot):
+        outputs = twin.predict_plan(plan)
+        for row, (category, numerics) in enumerate(probes):
+            assert outputs[row].tobytes() == twin.predict(category, numerics).tobytes()
+    assert twin_forward_max_diff(pair, probes) == 0.0
+
+
 def test_twin_forward_max_diff_propagates_nan():
     class NanOutputs:
-        def predict_batch(self, categories, numerics):
-            return np.full((len(categories), 1), np.nan)
+        def predict_plan(self, plan):
+            return np.full((plan.ids.shape[0], 1), np.nan)
 
     pair = TwinPair(augmented=_aug_net(), onehot=NanOutputs())
     diff = twin_forward_max_diff(pair, probe_inputs(1, 9, 2, 3))
@@ -532,15 +546,15 @@ def test_nan_contribution_change_fails_isolation_and_control_suites(monkeypatch)
 
 
 def test_nan_twin_output_fails_twin_suite(monkeypatch):
-    real_predict_batch = Network.predict_batch
+    real_predict_plan = Network.predict_plan
 
-    def nan_predict_batch(self, categories, numerics):
-        out = real_predict_batch(self, categories, numerics)
+    def nan_predict_plan(self, plan):
+        out = real_predict_plan(self, plan)
         if isinstance(self.encoder, OneHotLayer):
             out[-1, 0] = np.nan
         return out
 
-    monkeypatch.setattr(Network, "predict_batch", nan_predict_batch)
+    monkeypatch.setattr(Network, "predict_plan", nan_predict_plan)
     outcome = run_verification(_SMALL_VERIFY)
     assert not outcome.suites["twin_forward_agreement"].passed
     assert math.isnan(outcome.suites["twin_forward_agreement"].max_err)

@@ -15,6 +15,7 @@ from augbin import (
     Activation,
     AugmentedBinaryLayer,
     BinaryLayer,
+    DenseLayer,
     InvalidArgumentError,
     Network,
     NetworkConfig,
@@ -570,6 +571,46 @@ def test_zero_category_memory_is_kept_bit_for_bit(fill):
     assert layer.bias.tobytes() == np.full(2, fill).tobytes()
 
 
+@pytest.mark.parametrize("fill", [0.0, -0.0])
+def test_a_broadcast_block_is_judged_by_its_one_element(fill):
+    # A broadcast +0.0 block is left to the zeroed buffer without walking its
+    # entries; a broadcast -0.0 block is copied, as a dense one is.
+    shape = (5, 2)
+    built = [
+        AugmentedBinaryLayer(bit_weights=np.ones((3, 2)), num_weights=np.zeros((0, 2)), bias=np.zeros(2),
+                             cat_memory=memory, bit_memory=np.zeros((2, 3)))
+        for memory in (np.broadcast_to(fill, shape), np.full(shape, fill))
+    ]
+    built += [OneHotLayer(cat_weights=rows, num_weights=np.zeros((1, 2)), bias=np.full(2, fill))
+              for rows in (np.broadcast_to(fill, shape), np.full(shape, fill))]
+    for layer in built:
+        _assert_views_of_one_buffer(layer)
+        categorical = layer.cat_memory if layer.kind == "augmented" else layer.cat_weights
+        assert categorical.tobytes() == np.full(shape, fill).tobytes()
+    for broadcast, dense in (built[:2], built[2:]):
+        assert broadcast._buffer.tobytes() == dense._buffer.tobytes()
+        assert contributions_matrix(broadcast).tobytes() == contributions_matrix(dense).tobytes()
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_a_step_refuses_numerics_of_none(kind):
+    # Only a call without numerics checks the category alone; None is no vector, even with d = 0.
+    layer = ENCODERS[kind].fresh(5, 0, 3, SplitMix64(1))
+    for call in (lambda: layer.forward(3, None), lambda: layer.apply_update(3, None, np.zeros(3))):
+        with pytest.raises(InvalidArgumentError, match="numeric features"):
+            call()
+
+
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_layers_compare_by_identity(kind):
+    # The generated __eq__ would compare the array fields as a tuple and raise.
+    first, second = (ENCODERS[kind].fresh(5, 2, 3, SplitMix64(1)) for _ in range(2))
+    dense = [DenseLayer(weights=np.ones((3, 2)), bias=np.zeros(2), activation="identity") for _ in range(2)]
+    for a, b in ((first, second), dense):
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+
 def test_fresh_augmented_layer_is_views_of_a_zero_memory_buffer():
     layer = AugmentedBinaryLayer.fresh(37, 2, 4, SplitMix64(3))
     _assert_views_of_one_buffer(layer)
@@ -741,14 +782,16 @@ def test_memory_pass_keeps_negative_zero_rows():
 
 
 def test_plan_serves_only_the_shape_it_was_built_for():
-    onehot = OneHotLayer.fresh(11, 2, 3, SplitMix64(1))
-    binary, augmented = (ENCODERS[kind].fresh(11, 2, 3, SplitMix64(1)) for kind in ("binary", "augmented"))
+    layers = [ENCODERS[kind].fresh(11, 2, 3, SplitMix64(1)) for kind in ENCODERS]
     x = np.zeros((2, 2))
-    shared = binary.plan_batch([3, 9], x)
-    assert augmented.forward_batch(shared).shape == (2, 3)  # same N, d and width
+    for planner in layers:  # a plan is keyed on N and d alone: any kind's plan serves every kind
+        shared = planner.plan_batch([3, 9], x)
+        for encoder in layers:
+            own = encoder.forward_batch(encoder.plan_batch([3, 9], x))
+            assert encoder.forward_batch(shared).tobytes() == own.tobytes()
+    onehot, binary, augmented = layers
     for encoder, plan in (
-        (onehot, shared),
-        (binary, onehot.plan_batch([3, 9], x)),
+        (onehot, OneHotLayer.fresh(12, 2, 3, SplitMix64(1)).plan_batch([3, 9], x)),
         (binary, BinaryLayer.fresh(12, 2, 3, SplitMix64(1)).plan_batch([3, 9], x)),
         (augmented, AugmentedBinaryLayer.fresh(11, 1, 3, SplitMix64(1)).plan_batch([3, 9], x[:, :1])),
     ):

@@ -23,12 +23,28 @@ from augbin import (
     mean_loss,
     mse_gradient,
     mse_loss,
+    plan_loss,
     run_sgd,
     synthetic_stream,
 )
 from augbin.gradcheck import analytic_gradients, param_arrays
-from augbin.network import Batch
 from augbin.layers import ENCODERS, Encoder
+
+
+def plan_rows(network, examples):
+    """Stack (category, numerics, target) triples into the three columns and plan them.
+
+    The columns go to ``plan_loss`` as lists, so it checks every id one at
+    a time and stacks the rows itself.
+    """
+    examples = list(examples)
+    categories, numerics, targets = ([row[i] for row in examples] for i in range(3))
+    return plan_loss(network, categories, numerics, targets)
+
+
+def predict_batch(network, categories, numerics):
+    """Outputs of B rows through one plan, (B, output_width)."""
+    return network.predict_plan(network.encoder.plan_batch(categories, numerics))
 
 
 def scalar_mean_loss(network, examples):
@@ -211,7 +227,7 @@ def test_run_sgd_tracks_mean_loss_per_step():
         (1, np.array([0.1, 0.2]), np.array([0.4])),
         (5, np.array([-0.3, 0.8]), np.array([-0.2])),
     ]
-    losses = run_sgd(net, examples, SgdConfig(0.1, 7))
+    losses = run_sgd(net, plan_rows(net, examples), SgdConfig(0.1, 7))
     twin = build_network(_config())
     expected = [scalar_mean_loss(twin, examples)]
     for step in range(7):
@@ -229,11 +245,11 @@ def test_run_sgd_on_a_batch_equals_run_sgd_on_its_triples(kind, folded):
     targets = np.array([[stream.next_symmetric(1.0)] for _ in range(rows)])
     triples = [(int(c), x, t) for c, x, t in zip(categories, numerics, targets)]
     nets, counters, losses = [], [], []
-    for examples in (Batch(categories, numerics, targets), triples):
+    for plan in (lambda net: plan_loss(net, categories, numerics, targets), lambda net: plan_rows(net, triples)):
         net = build_network(_config(kind, seed=4, hidden=(3, 1)))
         net.folded_forward = folded
         counters.append(OpCounters())
-        losses.append([loss.hex() for loss in run_sgd(net, examples, SgdConfig(0.2, 17), counters[-1])])
+        losses.append([loss.hex() for loss in run_sgd(net, plan(net), SgdConfig(0.2, 17), counters[-1])])
         nets.append(net)
     assert losses[0] == losses[1]
     assert counters[0] == counters[1]
@@ -251,7 +267,8 @@ def test_run_sgd_calls_mean_loss_by_module_name(monkeypatch):
 
     monkeypatch.setattr(augbin.network, "mean_loss", counting)
     examples = [(1, np.array([0.1, 0.2]), np.array([0.4]))]
-    run_sgd(build_network(_config()), examples, SgdConfig(0.1, 5))
+    net = build_network(_config())
+    run_sgd(net, plan_rows(net, examples), SgdConfig(0.1, 5))
     assert len(calls) == 5 + 1
     assert "mean_loss" in vars(augbin.cli)
 
@@ -272,7 +289,8 @@ def test_run_sgd_checks_and_plans_its_batch_once(kind, monkeypatch):
     monkeypatch.setattr(Encoder, "_check_batch", counting_check)
     monkeypatch.setattr(np, "unique", counting_unique)
     examples = list(synthetic_stream(3, 11, 2, 1, 9))
-    losses = run_sgd(build_network(_config(kind)), examples, SgdConfig(0.1, 7))
+    net = build_network(_config(kind))
+    losses = run_sgd(net, plan_rows(net, examples), SgdConfig(0.1, 7))
     assert len(losses) == 7 + 1
     assert counts == {"check": 1, "unique": 1}
 
@@ -280,7 +298,7 @@ def test_run_sgd_checks_and_plans_its_batch_once(kind, monkeypatch):
 def test_run_sgd_zero_steps_reports_initial_loss_only():
     net = build_network(_config())
     examples = [(1, np.array([0.0, 0.0]), np.array([0.0]))]
-    losses = run_sgd(net, examples, SgdConfig(0.1, 0))
+    losses = run_sgd(net, plan_rows(net, examples), SgdConfig(0.1, 0))
     assert len(losses) == 1
 
 
@@ -296,24 +314,24 @@ def test_run_sgd_reduces_loss_on_learnable_data():
         )
     )
     examples = [(c, (), np.array([0.1 * c])) for c in range(1, 5)]
-    losses = run_sgd(net, examples, SgdConfig(0.2, 60))
+    losses = run_sgd(net, plan_rows(net, examples), SgdConfig(0.2, 60))
     assert losses[-1] < losses[0] * 0.01
 
 
 def test_run_sgd_rejects_empty_examples():
     net = build_network(_config())
     with pytest.raises(InvalidArgumentError):
-        run_sgd(net, [], SgdConfig(0.1, 1))
+        run_sgd(net, plan_rows(net, []), SgdConfig(0.1, 1))
 
 
 @pytest.mark.parametrize("form", ["triples", "batch"])
 def test_mean_loss_and_run_sgd_reject_no_examples(form):
     net = build_network(_config())
-    empty = [] if form == "triples" else Batch(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 1)))
+    arrays = [[], [], []] if form == "triples" else [np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 1))]
     with pytest.raises(InvalidArgumentError, match="no examples"):
-        mean_loss(net, empty)
+        mean_loss(net, plan_loss(net, *arrays))
     with pytest.raises(InvalidArgumentError, match="no examples"):
-        run_sgd(net, empty, SgdConfig(0.1, 3))
+        run_sgd(net, plan_loss(net, *arrays), SgdConfig(0.1, 3))
 
 
 _NOT_INTEGERS = [2.7, 2.0, "3", True, np.True_]
@@ -325,9 +343,9 @@ def test_predict_batch_refuses_category_ids_that_are_not_integers(kind, category
     net = build_network(_config(kind=kind))
     x = np.array([[0.2, -0.1]])
     with pytest.raises(InvalidArgumentError, match="integers"):
-        net.predict_batch([category], x)
+        predict_batch(net, [category], x)
     for ids in (np.array([2], dtype=np.uint8), np.array([2], dtype=np.int32)):
-        assert net.predict_batch(ids, x).tobytes() == net.predict_batch([2], x).tobytes()
+        assert predict_batch(net, ids, x).tobytes() == predict_batch(net, [2], x).tobytes()
 
 
 @pytest.mark.parametrize("category", _NOT_INTEGERS)
@@ -343,16 +361,16 @@ def test_predict_refuses_a_category_that_is_not_an_integer(kind, category):
 def test_predict_batch_names_a_large_unsigned_id_as_given():
     net = build_network(_config())
     with pytest.raises(RangeError, match=f"category {2**63 + 5} out of 1..11"):
-        net.predict_batch(np.array([2**63 + 5], dtype=np.uint64), np.zeros((1, 2)))
+        predict_batch(net, np.array([2**63 + 5], dtype=np.uint64), np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("category", [2**70, -(2**70), 2**64])
 def test_predict_batch_names_an_id_beyond_int64(category):
     net = build_network(_config())
     with pytest.raises(RangeError, match=rf"^category {category} out of 1..11$"):
-        net.predict_batch([3, category], np.zeros((2, 2)))
+        predict_batch(net, [3, category], np.zeros((2, 2)))
     with pytest.raises(InvalidArgumentError, match="integer"):  # still refused before any range check
-        net.predict_batch(np.array([category, 2.5], dtype=object), np.zeros((2, 2)))
+        predict_batch(net, np.array([category, 2.5], dtype=object), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("category", [2**70, -(2**70), 2**64])
@@ -360,7 +378,7 @@ def test_mean_loss_names_a_triple_id_beyond_int64(category):
     net = build_network(_config())
     x, target = np.array([0.2, -0.1]), np.array([0.5])
     with pytest.raises(RangeError, match=rf"^category {category} out of 1..11$"):
-        mean_loss(net, [(3, x, target), (category, x, target)])
+        mean_loss(net, plan_rows(net, [(3, x, target), (category, x, target)]))
     with pytest.raises(RangeError, match=rf"^category {category} out of 1..11$"):
         net.predict(category, x)
 
@@ -370,8 +388,42 @@ def test_mean_loss_refuses_triples_whose_category_is_not_an_integer(category):
     net = build_network(_config())
     x, target = np.array([0.2, -0.1]), np.array([0.5])
     with pytest.raises(InvalidArgumentError, match="integer"):
-        mean_loss(net, [(3, x, target), (category, x, target)])
-    assert mean_loss(net, [(np.int64(2), x, target)]) == mean_loss(net, [(2, x, target)])
+        mean_loss(net, plan_rows(net, [(3, x, target), (category, x, target)]))
+    assert mean_loss(net, plan_rows(net, [(np.int64(2), x, target)])) == mean_loss(net, plan_rows(net, [(2, x, target)]))
+
+
+@pytest.mark.parametrize("category", _NOT_INTEGERS)
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_a_sequence_of_ids_is_checked_one_id_at_a_time(kind, category):
+    # np.asarray([3, True]) is the int64 array [3, 1]: a sequence's ids are
+    # each checked as predict checks its one id, so none is read as another.
+    net = build_network(_config(kind=kind))
+    x, targets = np.array([[0.2, -0.1], [0.4, 0.3]]), np.array([[0.5], [0.1]])
+    for ids in ([3, category], (category, 3), np.array([3, category], dtype=object)):
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            net.encoder.plan_batch(ids, x)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            plan_loss(net, ids, x, targets)
+    listed, stacked = plan_loss(net, [3, np.int64(2)], x, targets), plan_loss(net, np.array([3, 2]), x, targets)
+    assert mean_loss(net, listed).hex() == mean_loss(net, stacked).hex()
+
+
+_NOT_NUMERIC_VECTORS = {"ragged": [0.2, [0.1, 0.3]], "strings": ["a", "b"], "objects": [{}, 0.0]}
+
+
+@pytest.mark.parametrize("bad", tuple(_NOT_NUMERIC_VECTORS))
+@pytest.mark.parametrize("kind", tuple(ENCODERS))
+def test_rows_that_are_not_numeric_vectors_are_invalid_arguments(kind, bad):
+    net = build_network(_config(kind=kind))
+    vector = _NOT_NUMERIC_VECTORS[bad]
+    encoder, x, targets = net.encoder, np.zeros((2, 2)), np.zeros((2, 1))
+    for call in (lambda: encoder.forward(3, vector), lambda: encoder.apply_update(3, vector, np.zeros(4)),
+                 lambda: encoder.plan_batch([3, 1], [[0.2, -0.1], vector]),
+                 lambda: plan_loss(net, [3, 1], [[0.2, -0.1], vector], targets)):
+        with pytest.raises(InvalidArgumentError, match="numerics must be"):
+            call()
+    with pytest.raises(InvalidArgumentError, match="targets must be"):
+        plan_loss(net, [3, 1], x, [[0.5], vector])
 
 
 def test_sgd_config_validation():
@@ -392,7 +444,7 @@ def test_mean_loss_raises_when_not_finite():
     net = build_network(_config())
     examples = [(1, np.array([0.0, 0.0]), np.array([1e200]))]  # squared error overflows
     with pytest.raises(NumericError):
-        mean_loss(net, examples)
+        mean_loss(net, plan_rows(net, examples))
 
 
 def test_non_finite_forward_raises():
@@ -422,7 +474,7 @@ def test_each_stage_checks_its_pre_activation_for_non_finite_values(kind, stage,
         "forward": lambda: net.forward(3, x),
         "predict": lambda: net.predict(3, x),
         "sgd_step": lambda: net.sgd_step(3, x, [0.5], 0.1),
-        "predict_batch": lambda: net.predict_batch([3, 1], np.stack([x, -x])),
+        "predict_batch": lambda: predict_batch(net, [3, 1], np.stack([x, -x])),
     }
     for name, call in calls.items():
         with pytest.raises(NumericError) as err:
@@ -502,12 +554,12 @@ def test_mean_loss_matches_scalar_oracle_bit_for_bit(
             expected = scalar_mean_loss(net, examples)
         except NumericError:  # training diverged: both paths must say so
             with pytest.raises(NumericError):
-                mean_loss(net, examples)
+                mean_loss(net, plan_rows(net, examples))
             return
-        assert mean_loss(net, examples).hex() == expected.hex()
+        assert mean_loss(net, plan_rows(net, examples)).hex() == expected.hex()
         categories = [c for c, _, _ in examples]
         stacked = np.array([x for _, x, _ in examples]).reshape(rows, n_numeric)
-        outputs = net.predict_batch(categories, stacked)
+        outputs = predict_batch(net, categories, stacked)
         for row, (category, numerics, _) in enumerate(examples):
             assert outputs[row].tobytes() == net.predict(category, numerics).tobytes()
 
@@ -553,7 +605,7 @@ def test_mean_loss_raises_what_the_scalar_oracle_raises(kind, fault):
     with pytest.raises(error):
         scalar_mean_loss(net, examples)
     with pytest.raises(error):
-        mean_loss(net, examples)
+        mean_loss(net, plan_rows(net, examples))
 
 
 @pytest.mark.parametrize("kind", ["binary", "augmented"])
@@ -564,4 +616,4 @@ def test_mean_loss_ignores_an_infinite_row_of_an_unused_bit(kind):
     if kind == "augmented":
         net.encoder.bit_memory[:, 3] = np.inf
     examples = [(c, np.array([0.1 * c, -0.2]), np.array([0.3])) for c in range(1, 8)]
-    assert mean_loss(net, examples).hex() == scalar_mean_loss(net, examples).hex()
+    assert mean_loss(net, plan_rows(net, examples)).hex() == scalar_mean_loss(net, examples).hex()

@@ -9,6 +9,7 @@ on the loops, and the tests require the two to agree byte for byte.
 
 import contextlib
 import copy
+import gc
 import sys
 from unittest import mock
 
@@ -131,7 +132,7 @@ def loop_binary_update(self, category, numerics, delta, counters=None):
 
 
 def loop_binary_contribution(self, category):
-    self._check_category(category)
+    self._check_step(category)
     return _loop_bit_sum(self, _positions(self, category))
 
 
@@ -174,7 +175,7 @@ def loop_augmented_update(self, category, numerics, delta, counters=None):
 
 
 def loop_augmented_contribution(self, category):
-    self._check_category(category)
+    self._check_step(category)
     positions = _positions(self, category)
     return _loop_add_memories(self, _loop_bit_sum(self, positions), category, positions)
 
@@ -453,7 +454,10 @@ def test_a_warm_step_makes_as_many_c_calls_at_16_as_at_65536_categories(kind):
     ``sys.setprofile`` reports a ``c_call`` for each C function or method
     called by name (``take``, ``np.array``, ``accumulate``, ...), not for
     ufunc calls or operators.  Both categories have three one-bits, so the
-    bit kinds list as many rows at either size.
+    bit kinds list as many rows at either size.  The garbage collector is
+    off while the step is profiled: a collection would run the process's
+    ``gc.callbacks`` (hypothesis registers one that reads the clock twice),
+    and the profile would count their C calls as the step's.
     """
     counts = []
     for n_categories, category in ((2**4, 0b1011), (2**16, 0b1000_0000_0000_0011)):
@@ -462,11 +466,13 @@ def test_a_warm_step_makes_as_many_c_calls_at_16_as_at_65536_categories(kind):
         x, target, counters = np.array([0.5, -1.0, 0.25]), np.array([0.5]), OpCounters()
         net.sgd_step(0b111, x, target, 0.1, counters)  # warm, on another category
         calls = []
+        gc.disable()
         sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
         try:
             net.sgd_step(category, x, target, 0.1, counters)
         finally:
             sys.setprofile(None)
+            gc.enable()
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
