@@ -27,6 +27,7 @@ import numpy as np
 
 from .bitcode import CategoryVocab, build_vocab
 from .errors import InvalidArgumentError, ParseError
+from .layers import as_floats
 from .rng import SplitMix64, below_draws, symmetric_draws
 
 
@@ -67,14 +68,10 @@ class Dataset:
     schema: DatasetSchema
 
     def __post_init__(self):
-        self.numerics = np.asarray(self.numerics, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
         rows = len(self.categories)
-        if self.numerics.shape[0] != rows or self.targets.shape[0] != rows:
-            raise InvalidArgumentError("row counts disagree across dataset fields")
-        width = len(self.schema.numerics)
-        if self.numerics.shape[1:] != (width,):
-            raise InvalidArgumentError(f"numerics of shape {self.numerics.shape} for {width} schema numeric columns")
+        message = "numerics must be a numeric matrix: a row per id, the schema's numeric columns"
+        self.numerics = as_floats(self.numerics, (rows, len(self.schema.numerics)), message)
+        self.targets = as_floats(self.targets, (rows, None), "targets must be a numeric matrix with a row per id")
         ids = np.asarray(self.categories)
         bad = (ids < 1) | (ids > self.vocab.size)
         if bad.any():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcode import encode
-from .layers import AugmentedBinaryLayer, OneHotLayer
+from .layers import AugmentedBinaryLayer, OneHotLayer, as_floats
 from .network import Network, mse_loss
 
 
@@ -32,7 +32,7 @@ def param_arrays(network: Network) -> list[tuple[str, np.ndarray]]:
 def analytic_gradients(network: Network, category: int, numerics, target) -> dict[str, np.ndarray]:
     """dLoss/dparam for one example, from one backward pass."""
     cache = network.forward(category, numerics)
-    deltas = network.backprop_deltas(cache, np.asarray(target, dtype=np.float64))
+    deltas = network.backprop_deltas(cache, target)
     dz0 = deltas[0]
     enc = network.encoder
     grads: dict[str, np.ndarray] = {}
@@ -71,7 +71,7 @@ def numeric_gradients(
     Each entry is perturbed by its own index, so the write reaches the live
     array even when it is not contiguous (``ravel`` would perturb a copy).
     """
-    target = np.asarray(target, dtype=np.float64)
+    target = as_floats(target, (network.output_width,), "target must be a numeric vector of the output's shape")
     grads: dict[str, np.ndarray] = {}
     for name, arr in param_arrays(network):
         grad = np.zeros(arr.shape)

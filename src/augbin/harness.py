@@ -32,6 +32,7 @@ from .layers import (
     AugmentedBinaryLayer,
     BinaryLayer,
     OneHotLayer,
+    as_floats,
     contributions_matrix,
 )
 from .network import (
@@ -174,7 +175,7 @@ def lockstep_train(
             cache_o = pair.onehot.forward(category, numerics)
             out_a, out_o = cache_a.output, cache_o.output
             trace.max_output_diffs.append(float(np.max(np.abs(out_a - out_o))))
-            target = np.asarray(target, dtype=np.float64)
+            target = as_floats(target, out_a.shape, "stream targets must be numeric vectors of the output's shape")
             trace.loss_pairs.append((mse_loss(out_a, target), mse_loss(out_o, target)))
             pair.augmented.update(cache_a, target, config.learning_rate, counters)
             pair.onehot.update(cache_o, target, config.learning_rate)

@@ -88,7 +88,10 @@ in IEEE arithmetic, and no pairwise reduction (``np.sum``) or BLAS product
 regroups the terms.  The input check hands back the category as a Python
 int, and the bit kinds list its one-bits off that int one set bit at a time
 (``c & -c``), never in a numpy integer's own dtype, where
-``width + category - 1`` could wrap.
+``width + category - 1`` could wrap.  Every float input goes through
+:func:`as_floats`, and what a check returns passes it again with no call, so
+``Network.forward`` checks a step once and the methods it calls re-check for
+free.
 
 Batched evaluation is one-hot evaluation for every kind.  ``plan_batch``
 checks B inputs once and keeps what depends on the categories alone: the
@@ -125,21 +128,28 @@ from .errors import InvalidArgumentError, RangeError
 from .rng import SplitMix64
 
 
-def _as_matrix(value, rows, cols, name) -> np.ndarray:
-    """``value`` as a float (rows, cols) array; ``rows=None`` accepts any row count."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != cols or (rows is not None and arr.shape[0] != rows):
-        raise InvalidArgumentError(
-            f"{name} must have shape {(rows if rows is not None else 'any', cols)}, got {arr.shape}"
-        )
-    return arr
+_FLOAT64 = np.dtype(np.float64)
 
 
-def _as_vector(value, length, name) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (length,):
-        raise InvalidArgumentError(f"{name} must have shape {(length,)}, got {arr.shape}")
-    return arr
+def as_floats(value, shape: tuple, message: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``; the package's one conversion rule for float inputs.
+
+    A float64 ndarray passes with no numpy call; anything else gets one
+    ``np.asarray``.  A value that does not convert, or a shape that does not
+    match, raises InvalidArgumentError(message).  None in ``shape`` allows
+    any length on that axis; an exact shape costs one tuple comparison.
+    """
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+        try:
+            value = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise InvalidArgumentError(message) from None
+    if value.shape != shape and (
+        value.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, value.shape))
+    ):
+        wanted = tuple("any" if want is None else want for want in shape)
+        raise InvalidArgumentError(f"{message}: need shape {wanted}, got {value.shape}")
+    return value
 
 
 def category_index(category) -> int:
@@ -239,10 +249,8 @@ class Encoder:
     skip_category_memory_update = False  # AugmentedBinaryLayer's fault hook; no other kind has the row
 
     def __post_init__(self):
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.bias.ndim != 1:  # K comes from it
-            raise InvalidArgumentError(f"bias must be 1-d, got shape {self.bias.shape}")
-        self.num_weights = _as_matrix(self.num_weights, None, self.k, "num_weights")
+        self.bias = as_floats(self.bias, (None,), "bias must be a numeric vector")  # K comes from it
+        self.num_weights = as_floats(self.num_weights, (None, self.k), "num_weights must be a numeric (d, K) matrix")
 
     def _into_buffer(self, dense_rows: int, **blocks: np.ndarray) -> None:
         """Copy the category ``blocks``, each (rows, K), then the numeric rows and the bias row, into one new buffer.
@@ -302,54 +310,40 @@ class Encoder:
         None comes back in their place (``effective_contribution``).  The per-example
         methods compute with that int, never with the caller's object: a
         numpy integer would do their index arithmetic in its own dtype, where
-        ``width + category - 1`` can wrap.  A Python int is passed through
-        and no helper is called: the training step checks twice.
+        ``width + category - 1`` can wrap.  What it returns passes it again
+        with no call: a Python int and a float64 vector of the exact shape.
         """
         index = category if type(category) is int else category_index(category)
         if not 1 <= index <= self.n_categories:
             raise RangeError(f"category {category} out of 1..{self.n_categories}")
         if numerics is _CATEGORY_ONLY:
             return index, None
-        try:
-            x = np.asarray(numerics, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged or not numbers
-            raise InvalidArgumentError("numerics must be a numeric vector") from None
-        if x.shape != self.num_weights.shape[:1]:
-            raise InvalidArgumentError(f"expected {self.n_numeric} numeric features, got shape {x.shape}")
-        return index, x
+        return index, as_floats(numerics, self.num_weights.shape[:1], "numerics must be a vector of numeric features")
 
     def _check_batch(self, categories, numerics) -> tuple[np.ndarray, np.ndarray]:
         """Validate a batch of B inputs; returns (B,) int categories and (B, d) float numerics.
 
         The ids must be integers: a float, bool or string is refused, not
         truncated.  An ndarray of ids is checked at once by its dtype; any
-        other sequence one id at a time, as ``forward`` checks its one id, so
-        a bool among integers is refused, not read as 0 or 1.
+        other sequence one id at a time, by ``forward``'s own check of its
+        one id, so a bool among integers is refused, not read as 0 or 1.  A
+        batch of no rows is refused.
         """
         ids = np.asarray(categories, dtype=None if isinstance(categories, np.ndarray) else object)
         if ids.ndim != 1:
             raise InvalidArgumentError(f"categories must be 1-d, got shape {ids.shape}")
+        if not ids.shape[0]:
+            raise InvalidArgumentError("no examples")
         if ids.dtype == object:  # a sequence, or an array of Python ints beyond int64
-            values = [category_index(category) for category in ids]
-            bad = [category for category in values if not 1 <= category <= self.n_categories]
-            if bad:
-                raise RangeError(f"category {bad[0]} out of 1..{self.n_categories}")
-            ids = np.array(values, dtype=np.int64)
-        if ids.size and ids.dtype.kind not in "iu":
+            indices = [category_index(category) for category in ids]  # every id typed before any is ranged
+            ids = np.array([self._check_step(index)[0] for index in indices], dtype=np.int64)
+        if ids.dtype.kind not in "iu":
             raise InvalidArgumentError(f"categories must be integers, got dtype {ids.dtype}")
         bad = (ids < 1) | (ids > self.n_categories)
         if bad.any():
             raise RangeError(f"category {ids[bad][0]} out of 1..{self.n_categories}")
         ids = ids.astype(np.int64, copy=False)  # after the range check, so no uint64 id wraps
-        try:
-            x = np.asarray(numerics, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or not numbers
-            raise InvalidArgumentError("numerics must be numeric vectors of one length") from None
-        if x.shape != (ids.shape[0], self.n_numeric):
-            raise InvalidArgumentError(
-                f"expected {ids.shape[0]} rows of {self.n_numeric} numeric features, got shape {x.shape}"
-            )
-        return ids, x
+        return ids, as_floats(numerics, (ids.shape[0], self.n_numeric), "numerics must be numeric rows of one length")
 
     def _step_rows(self, category: int, tail: int) -> tuple[np.ndarray, int, int]:
         """A step's buffer rows, the number of category-term rows among them and how many of those are negated.
@@ -416,7 +410,7 @@ class Encoder:
         the category-memory change survives, and only for this category.
         """
         category, x = self._check_step(category, numerics)
-        delta = _as_vector(delta, self.bias.shape[0], "delta")
+        delta = as_floats(delta, self.bias.shape, "delta must be a numeric vector of K entries")
         rows, count, negated = self._step_rows(category, x.shape[0] + 1)
         if count == 1:  # one term row: every block stepped in place
             self._buffer[rows[0]] -= delta
@@ -488,7 +482,7 @@ class OneHotLayer(Encoder):
 
     def __post_init__(self):
         super().__post_init__()
-        self.cat_weights = _as_matrix(self.cat_weights, None, self.k, "cat_weights")
+        self.cat_weights = as_floats(self.cat_weights, (None, self.k), "cat_weights must be a numeric (N, K) matrix")
         self._into_buffer(self.n_categories, cat_weights=self.cat_weights)
 
     @classmethod
@@ -525,7 +519,8 @@ class _BitEncoder(Encoder):
 
     def __post_init__(self):
         super().__post_init__()
-        self.bit_weights = _as_matrix(self.bit_weights, bit_width(self.n_categories), self.k, "bit_weights")
+        shape = (bit_width(self.n_categories), self.k)
+        self.bit_weights = as_floats(self.bit_weights, shape, "bit_weights must be a numeric (n, K) matrix")
 
     @classmethod
     def fresh(cls, n_categories: int, n_numeric: int, k: int, stream: SplitMix64) -> "_BitEncoder":
@@ -641,10 +636,11 @@ class AugmentedBinaryLayer(_BitEncoder):
     forward, apply_update, effective_contribution = _SHARED_STEP
 
     def __post_init__(self):
-        # Checked first: n_categories, and so the bit width, come from it.
-        self.cat_memory = _as_matrix(self.cat_memory, None, np.size(self.bias), "cat_memory")
+        # Checked first: n_categories, and so the bit width, come from it; K comes from the bias.
+        self.bias = as_floats(self.bias, (None,), "bias must be a numeric vector")
+        self.cat_memory = as_floats(self.cat_memory, (None, self.k), "cat_memory must be a numeric (N, K) matrix")
         super().__post_init__()
-        bit_memory = _as_matrix(self.bit_memory, self.k, self.width, "bit_memory")
+        bit_memory = as_floats(self.bit_memory, (self.k, self.width), "bit_memory must be a numeric (K, n) matrix")
         self._into_buffer(
             2 * self.width + 1, bit_weights=self.bit_weights, cat_memory=self.cat_memory, bit_memory=bit_memory.T
         )

@@ -24,8 +24,10 @@ product, so each equals its ascending ``+=`` loop bit for bit.  The
 backprop sum runs along the contiguous axis of the (fan_in, fan_out)
 product ``weights * dz``, and a one-column sum (a single output) needs no
 accumulate at all.  The tests keep those loops as oracles.  Each piece of
-the step runs once: no helper re-reads a shape through a property, and the
-encoder's update reuses the rows its forward listed.
+the step runs once: :meth:`Network.forward` checks the input and caches the
+checked pair, which every later check passes with no call
+(:func:`~augbin.layers.as_floats`), and the encoder's update reuses the rows
+its forward listed.
 
 Evaluation (:func:`mean_loss`, :meth:`Network.predict_plan`) is batched over
 rows: each layer runs once on a (B, width) array instead of once per row.
@@ -56,7 +58,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, ordered_sum
+from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, _read_only, as_floats, ordered_sum
 from .rng import SplitMix64
 
 
@@ -109,12 +111,8 @@ class DenseLayer:
     activation: Activation
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise InvalidArgumentError("weights must be 2-d")
-        if self.bias.shape != (self.weights.shape[1],):
-            raise InvalidArgumentError("bias length must match weights fan_out")
+        self.weights = as_floats(self.weights, (None, None), "weights must be a numeric (fan_in, fan_out) matrix")
+        self.bias = as_floats(self.bias, self.weights.shape[1:], "bias must be a numeric vector of fan_out entries")
         self.activation = Activation(self.activation)
 
     @property
@@ -185,11 +183,12 @@ class Network:
         return self.encoder.param_count + sum(layer.param_count for layer in self.layers)
 
     def forward(self, category: int, numerics=(), counters: OpCounters | None = None) -> ForwardCache:
-        numerics = np.asarray(numerics, dtype=np.float64)
+        """The step's input is checked here, once: the encoder's methods and the update get the checked pair."""
+        category, x = self.encoder._check_step(category, numerics)
         if self.folded_forward and isinstance(self.encoder, AugmentedBinaryLayer):
-            z = self.encoder.forward_folded(category, numerics, counters)
+            z = self.encoder.forward_folded(category, x, counters)
         else:
-            z = self.encoder.forward(category, numerics, counters)
+            z = self.encoder.forward(category, x, counters)
         _check_finite(z, "encoder")
         a = self.encoder_activation.apply(z)
         pre = [z]
@@ -200,7 +199,7 @@ class Network:
             a = layer.activation.apply(z)
             pre.append(z)
             post.append(a)
-        return ForwardCache(int(category), numerics, pre, post)
+        return ForwardCache(category, x, pre, post)
 
     def backprop_deltas(self, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
         """Per-stage dLoss/dz, output layer last reversed to encoder first.
@@ -278,11 +277,12 @@ class Network:
         return a
 
 
-def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
-    output = np.asarray(output, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if output.shape != target.shape:
-        raise InvalidArgumentError("output and target shapes differ")
+_TARGET = "target must be a numeric vector of the output's shape"
+
+
+def mse_loss(output: np.ndarray, target) -> float:
+    """Mean squared error of a network's output array; ``target`` is checked against its shape."""
+    target = as_floats(target, output.shape, _TARGET)
     total = 0.0
     for j in range(output.shape[0]):
         diff = output[j] - target[j]
@@ -290,11 +290,8 @@ def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
     return total / output.shape[0]
 
 
-def mse_gradient(output: np.ndarray, target: np.ndarray) -> np.ndarray:
-    output = np.asarray(output, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if output.shape != target.shape:
-        raise InvalidArgumentError("output and target shapes differ")
+def mse_gradient(output: np.ndarray, target) -> np.ndarray:
+    target = as_floats(target, output.shape, _TARGET)
     return 2.0 * (output - target) / output.shape[0]
 
 
@@ -392,17 +389,11 @@ def plan_loss(network: Network, categories, numerics, targets) -> LossPlan:
 
     The ids go through :meth:`~augbin.layers.Encoder.plan_batch`: an
     ndarray is checked by its dtype, any other sequence one id at a time.
+    The targets must have the ids' row count.
     """
-    message = "targets must be numeric vectors of one length"
-    try:
-        targets = np.array(targets, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged rows, or not numbers
-        raise InvalidArgumentError(message) from None
-    if targets.shape[:1] == (0,):
-        raise InvalidArgumentError("no examples")
-    if targets.ndim != 2:
-        raise InvalidArgumentError(message)
-    return LossPlan(network.encoder.plan_batch(categories, numerics), targets)
+    inputs = network.encoder.plan_batch(categories, numerics)
+    targets = as_floats(targets, (inputs.ids.shape[0], None), "targets must be numeric vectors of one length")
+    return LossPlan(inputs, _read_only(targets))
 
 
 def mean_loss(network: Network, plan: LossPlan) -> float:

@@ -3,8 +3,9 @@
 A code line is a line that holds a token of code: docstrings (any statement
 that is a bare string), comments and blank lines do not count.  The budget
 holds ``layers.py``, ``network.py`` and the package total at the figures of
-the change that gave a batch one form from rows to loss (``plan_loss``); a
-change that needs more lines raises the figure here and says why.
+the change that put every float input through one conversion rule
+(``layers.as_floats``); a change that needs more lines raises the figure
+here and says why.
 """
 
 import ast
@@ -13,9 +14,9 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "augbin"
-LAYERS_BUDGET = 350
-NETWORK_BUDGET = 279
-PACKAGE_BUDGET = 2080
+LAYERS_BUDGET = 336
+NETWORK_BUDGET = 263
+PACKAGE_BUDGET = 2048
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 

@@ -9,6 +9,8 @@ import augbin.cli
 import augbin.network
 from augbin import (
     Activation,
+    Dataset,
+    DatasetSchema,
     DenseLayer,
     InvalidArgumentError,
     Network,
@@ -20,6 +22,9 @@ from augbin import (
     SgdConfig,
     SplitMix64,
     build_network,
+    build_onehot_twin,
+    build_vocab,
+    lockstep_train,
     mean_loss,
     mse_gradient,
     mse_loss,
@@ -424,6 +429,33 @@ def test_rows_that_are_not_numeric_vectors_are_invalid_arguments(kind, bad):
             call()
     with pytest.raises(InvalidArgumentError, match="targets must be"):
         plan_loss(net, [3, 1], x, [[0.5], vector])
+
+
+_RAGGED = [[0.1], [0.2, 0.3]]
+_MALFORMED_FLOATS = {
+    "predict numerics of strings": lambda net: net.predict(3, ["a", "b"]),
+    "sgd_step ragged target": lambda net: net.sgd_step(3, np.zeros(2), _RAGGED, 0.1),
+    "ragged DenseLayer weights": lambda net: DenseLayer(weights=_RAGGED, bias=np.zeros(2), activation="identity"),
+    "ragged cat_weights": lambda net: OneHotLayer(cat_weights=_RAGGED, num_weights=np.zeros((0, 2)), bias=np.zeros(2)),
+    "ragged delta": lambda net: net.encoder.apply_update(3, np.zeros(2), [0.1, [0.2], 0.3, 0.4]),
+    "ragged lockstep target": lambda net: lockstep_train(
+        build_onehot_twin(net), [(3, np.zeros(2), [0.1, [0.2]])], SgdConfig(0.1, 1)
+    ),
+    "mse_loss ragged target": lambda net: mse_loss(np.zeros(2), [0.1, [0.2]]),
+    "Dataset ragged numerics": lambda net: Dataset(
+        vocab=build_vocab(["a"]), categories=[1, 1], numerics=[[0.1], [0.2, 0.3]], targets=np.zeros((2, 1)),
+        schema=DatasetSchema(categorical="category", numerics=("x",), target="target"),
+    ),
+    "plan_loss targets of another row count": lambda net: plan_loss(net, [1, 2, 3], np.zeros((3, 2)), np.zeros((2, 1))),
+}
+
+
+@pytest.mark.parametrize("case", tuple(_MALFORMED_FLOATS))
+def test_every_malformed_float_input_is_an_invalid_argument(case):
+    # Every float input goes through one conversion rule, so none of these
+    # leaks numpy's bare ValueError or waits for a later step to fail.
+    with pytest.raises(InvalidArgumentError):
+        _MALFORMED_FLOATS[case](build_network(_config()))
 
 
 def test_sgd_config_validation():

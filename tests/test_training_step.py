@@ -447,6 +447,10 @@ def test_sgd_step_lists_its_rows_once_for_every_kind(monkeypatch, kind):
     assert listed == categories  # the same category again: nothing to list
 
 
+# Most C calls of one warm step at the shape below, sys.setprofile(None) included.
+_WARM_STEP_C_CALLS = {"onehot": 21, "binary": 28, "augmented": 29}
+
+
 @pytest.mark.parametrize("kind", tuple(ENCODERS))
 def test_a_warm_step_makes_as_many_c_calls_at_16_as_at_65536_categories(kind):
     """No per-step cost grows with N: one warm ``sgd_step`` calls the same C functions at N=2**4 and N=2**16.
@@ -454,27 +458,33 @@ def test_a_warm_step_makes_as_many_c_calls_at_16_as_at_65536_categories(kind):
     ``sys.setprofile`` reports a ``c_call`` for each C function or method
     called by name (``take``, ``np.array``, ``accumulate``, ...), not for
     ufunc calls or operators.  Both categories have three one-bits, so the
-    bit kinds list as many rows at either size.  The garbage collector is
-    off while the step is profiled: a collection would run the process's
-    ``gc.callbacks`` (hypothesis registers one that reads the clock twice),
-    and the profile would count their C calls as the step's.
+    bit kinds list as many rows at either size.  Float64 arrays pass the
+    input checks with no conversion; Python lists are converted once each.
+    The garbage collector is off while the step is profiled: a collection
+    would run the process's ``gc.callbacks`` (hypothesis registers one that
+    reads the clock twice), and the profile would count their C calls as
+    the step's.
     """
-    counts = []
-    for n_categories, category in ((2**4, 0b1011), (2**16, 0b1000_0000_0000_0011)):
-        config = NetworkConfig(encoder_kind=kind, n_categories=n_categories, n_numeric=3, k=8, hidden=(8, 1), seed=1)
-        net = build_network(config)
-        x, target, counters = np.array([0.5, -1.0, 0.25]), np.array([0.5]), OpCounters()
-        net.sgd_step(0b111, x, target, 0.1, counters)  # warm, on another category
-        calls = []
-        gc.disable()
-        sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
-        try:
-            net.sgd_step(category, x, target, 0.1, counters)
-        finally:
-            sys.setprofile(None)
-            gc.enable()
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    for form in (np.array, list):
+        counts = []
+        for n_categories, category in ((2**4, 0b1011), (2**16, 0b1000_0000_0000_0011)):
+            config = NetworkConfig(encoder_kind=kind, n_categories=n_categories, n_numeric=3, k=8, hidden=(8, 1),
+                                   seed=1)
+            net = build_network(config)
+            x, target, counters = form([0.5, -1.0, 0.25]), form([0.5]), OpCounters()
+            net.sgd_step(0b111, x, target, 0.1, counters)  # warm, on another category
+            calls = []
+            gc.disable()
+            sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
+            try:
+                net.sgd_step(category, x, target, 0.1, counters)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            conversions = [call for call in calls if call in (np.asarray, np.array)]
+            assert conversions == ([] if form is np.array else [np.asarray, np.asarray])  # x, then the target
+            counts.append(len(calls) - len(conversions))
+        assert 0 < counts[0] == counts[1] <= _WARM_STEP_C_CALLS[kind]
 
 
 def _prepare_update(case, layer, x):
