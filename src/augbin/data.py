@@ -27,7 +27,7 @@ import numpy as np
 
 from .bitcode import CategoryVocab, build_vocab
 from .errors import InvalidArgumentError, ParseError
-from .layers import as_floats
+from .layers import as_floats, category_index
 from .rng import SplitMix64, below_draws, symmetric_draws
 
 
@@ -72,6 +72,8 @@ class Dataset:
         message = "numerics must be a numeric matrix: a row per id, the schema's numeric columns"
         self.numerics = as_floats(self.numerics, (rows, len(self.schema.numerics)), message)
         self.targets = as_floats(self.targets, (rows, None), "targets must be a numeric matrix with a row per id")
+        if set(map(type, self.categories)) - {int}:  # the loaders' ids, Python ints, pass as they are
+            self.categories = [category_index(category) for category in self.categories]
         ids = np.asarray(self.categories)
         bad = (ids < 1) | (ids > self.vocab.size)
         if bad.any():

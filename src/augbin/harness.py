@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcode import bit_matrix, encode
+from .bitcode import bit_matrix, bit_width, encode
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
 from .gradcheck import check_gradients
@@ -33,6 +33,7 @@ from .layers import (
     BinaryLayer,
     OneHotLayer,
     as_floats,
+    as_int,
     contributions_matrix,
 )
 from .network import (
@@ -345,7 +346,7 @@ class VerifyConfig:
     the twin-agreement, isolation, replay, and folded-path suites; lockstep
     drift uses the quadratic growth budget and the gradient check uses its
     own finite-difference tolerances.  ``steps`` and ``tolerance`` must be
-    >= 0; a NaN tolerance is rejected too, since no suite could pass it.
+    >= 0, and the tolerance finite: the negative control must exceed it.
     """
 
     seed: int = 0
@@ -362,10 +363,10 @@ class VerifyConfig:
     fault: str | None = None
 
     def __post_init__(self):
-        if self.steps < 0:
+        if as_int(self.steps, "steps must be an integer") < 0:
             raise InvalidArgumentError(f"steps must be >= 0, got {self.steps}")
-        if not self.tolerance >= 0.0:
-            raise InvalidArgumentError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0.0 <= self.tolerance < np.inf:
+            raise InvalidArgumentError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass
@@ -403,59 +404,73 @@ def _network_config(cfg: VerifyConfig, kind: str) -> NetworkConfig:
     )
 
 
-def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
-    """Run every suite in a fixed order with seed-derived sub-streams.
-
-    Sub-seeds: probes cfg.seed+1, training stream cfg.seed+2, isolation
-    stream cfg.seed+3, control stream cfg.seed+4, folded stream cfg.seed+5,
-    gradient-check base cfg.seed+6.  The run is fully deterministic.
-    """
-    if cfg.fault not in (None, "skip-category-memory"):
-        raise InvalidArgumentError(f"unknown fault {cfg.fault!r}")
-    suites: dict[str, SuiteOutcome] = {}
-    counters = OpCounters()
-
-    # Twin forward agreement on a fresh network, then again after training.
-    net = build_network(_network_config(cfg, "augmented"))
-    pair = build_onehot_twin(net)
+def _twin_suites(cfg: VerifyConfig, counters: OpCounters) -> tuple[SuiteOutcome, SuiteOutcome, DivergenceTrace]:
+    """Twin agreement, fresh and after lockstep training; lockstep drift; the lockstep trace."""
+    pair = build_onehot_twin(build_network(_network_config(cfg, "augmented")))
     probes = probe_inputs(cfg.seed + 1, cfg.n_categories, cfg.n_numeric, cfg.forward_probes)
     fresh_diff = twin_forward_max_diff(pair, probes)
 
     stream = synthetic_stream(cfg.seed + 2, cfg.n_categories, cfg.n_numeric, 1, cfg.steps)
     trace = lockstep_train(pair, stream, SgdConfig(cfg.learning_rate, cfg.steps), counters)
-    drift_ok = all(
-        diff <= divergence_budget(step) for step, diff in enumerate(trace.max_output_diffs)
-    )
+    drift_ok = all(diff <= divergence_budget(step) for step, diff in enumerate(trace.max_output_diffs))
     max_drift = _worst(trace.max_output_diffs)
 
-    retrained_pair = build_onehot_twin(pair.augmented)
-    trained_diff = twin_forward_max_diff(retrained_pair, probes)
+    trained_diff = twin_forward_max_diff(build_onehot_twin(pair.augmented), probes)
     twin_diff = _worst([fresh_diff, trained_diff])
-    suites["twin_forward_agreement"] = SuiteOutcome(
-        twin_diff <= cfg.tolerance,
-        twin_diff,
-        f"fresh {fresh_diff:.3e}, after {cfg.steps} steps {trained_diff:.3e}",
-    )
-    suites["lockstep_divergence"] = SuiteOutcome(
-        drift_ok,
-        max_drift,
-        f"max drift {max_drift:.3e} over {cfg.steps} steps, "
-        f"final row distance {trace.final_row_distance:.3e}",
+    twin_detail = f"fresh {fresh_diff:.3e}, after {cfg.steps} steps {trained_diff:.3e}"
+    distance = trace.final_row_distance
+    drift_detail = f"max drift {max_drift:.3e} over {cfg.steps} steps, final row distance {distance:.3e}"
+    twin = SuiteOutcome(twin_diff <= cfg.tolerance, twin_diff, twin_detail)
+    return twin, SuiteOutcome(drift_ok, max_drift, drift_detail), trace
+
+
+def _probe_suite(cfg: VerifyConfig, kind: str, seed: int, errors) -> tuple[float, float]:
+    """Worst of each of ``errors(probe)``'s two figures over the probes of one fresh ``kind`` network."""
+    net = build_network(_network_config(cfg, kind))
+    if kind == "augmented" and cfg.fault == "skip-category-memory":
+        net.encoder.skip_category_memory_update = True
+    worst = np.zeros(2)
+    before = None  # each probe's after matrix is the next probe's before
+    for category, numerics, target in synthetic_stream(seed, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes):
+        probe = isolation_probe(net, category, numerics, target, cfg.learning_rate, before)
+        before = probe.after
+        worst = np.maximum(worst, errors(probe))  # a NaN propagates, as in _worst
+    return float(worst[0]), float(worst[1])
+
+
+def _folded_suite(cfg: VerifyConfig) -> SuiteOutcome:
+    """Folded forward path against the plain path while memories evolve."""
+    net = build_network(_network_config(cfg, "augmented"))
+    stream = synthetic_stream(cfg.seed + 5, cfg.n_categories, cfg.n_numeric, 1, 50)
+    gaps = []
+    for index, (category, numerics, target) in enumerate(stream):
+        plain = net.encoder.forward(category, numerics)
+        folded = net.encoder.forward_folded(category, numerics)
+        gaps.append(np.abs(plain - folded))
+        if index % 5 == 0:
+            net.sgd_step(category, numerics, target, cfg.learning_rate)
+    worst = _worst(gaps)
+    return SuiteOutcome(
+        worst <= cfg.tolerance, worst, f"max path difference {worst:.3e} over {len(stream)} states"
     )
 
+
+def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
+    """Run every suite in a fixed order with seed-derived sub-streams.
+
+    Sub-seeds: probes cfg.seed+1, training stream cfg.seed+2, isolation
+    stream cfg.seed+3, control stream cfg.seed+4, folded stream cfg.seed+5,
+    gradient-check base cfg.seed+6.  The run is fully deterministic.  Each
+    suite builds its own networks, freed when it returns.
+    """
+    if cfg.fault not in (None, "skip-category-memory"):
+        raise InvalidArgumentError(f"unknown fault {cfg.fault!r}")
+    suites: dict[str, SuiteOutcome] = {}
+    counters = OpCounters()
+    suites["twin_forward_agreement"], suites["lockstep_divergence"], trace = _twin_suites(cfg, counters)
+
     # Isolation on an evolving augmented network.
-    iso_net = build_network(_network_config(cfg, "augmented"))
-    if cfg.fault == "skip-category-memory":
-        iso_net.encoder.skip_category_memory_update = True
-    iso_stream = synthetic_stream(cfg.seed + 3, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes)
-    iso_errors = []
-    before = None  # each probe's after matrix is the next probe's before
-    for category, numerics, target in iso_stream:
-        probe = isolation_probe(iso_net, category, numerics, target, cfg.learning_rate, before)
-        before = probe.after
-        iso_errors.append(isolation_errors(probe))
-    offs, ons = np.reshape(iso_errors, (-1, 2)).T
-    worst_off, worst_on = _worst(offs), _worst(ons)
+    worst_off, worst_on = _probe_suite(cfg, "augmented", cfg.seed + 3, isolation_errors)
     iso_err = _worst([worst_off, worst_on])
     suites["isolation"] = SuiteOutcome(
         iso_err <= cfg.tolerance,
@@ -464,18 +479,10 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
     )
 
     # Negative control: plain binary must interfere exactly per bit overlap.
-    control_net = build_network(_network_config(cfg, "binary"))
-    control_stream = synthetic_stream(
-        cfg.seed + 4, cfg.n_categories, cfg.n_numeric, 1, cfg.isolation_probes
+    width = bit_width(cfg.n_categories)
+    worst_control, witnessed = _probe_suite(
+        cfg, "binary", cfg.seed + 4, lambda probe: interference_errors(probe, width)
     )
-    control_errors = []
-    before = None
-    for category, numerics, target in control_stream:
-        probe = isolation_probe(control_net, category, numerics, target, cfg.learning_rate, before)
-        before = probe.after
-        control_errors.append(interference_errors(probe, control_net.encoder.width))
-    errs, predicted = np.reshape(control_errors, (-1, 2)).T
-    worst_control, witnessed = _worst(errs), _worst(predicted)
     control_ok = worst_control <= cfg.tolerance and (
         cfg.n_categories < 3 or witnessed > cfg.tolerance
     )
@@ -485,23 +492,7 @@ def run_verification(cfg: VerifyConfig) -> VerificationOutcome:
         f"overlap-prediction error {worst_control:.3e}, "
         f"largest off-category interference {witnessed:.3e}",
     )
-
-    # Folded forward path against the plain path while memories evolve.
-    folded_net = build_network(_network_config(cfg, "augmented"))
-    folded_stream = synthetic_stream(cfg.seed + 5, cfg.n_categories, cfg.n_numeric, 1, 50)
-    folded_gaps = []
-    for index, (category, numerics, target) in enumerate(folded_stream):
-        plain = folded_net.encoder.forward(category, numerics)
-        folded = folded_net.encoder.forward_folded(category, numerics)
-        folded_gaps.append(np.abs(plain - folded))
-        if index % 5 == 0:
-            folded_net.sgd_step(category, numerics, target, cfg.learning_rate)
-    worst_folded = _worst(folded_gaps)
-    suites["folded_agreement"] = SuiteOutcome(
-        worst_folded <= cfg.tolerance,
-        worst_folded,
-        f"max path difference {worst_folded:.3e} over {len(folded_stream)} states",
-    )
+    suites["folded_agreement"] = _folded_suite(cfg)
 
     # Brute-force replay at fixed small dimensions.
     replay = brute_force_check(8, 4, 50, cfg.seed, tolerance=cfg.tolerance)

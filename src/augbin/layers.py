@@ -152,14 +152,19 @@ def as_floats(value, shape: tuple, message: str) -> np.ndarray:
     return value
 
 
-def category_index(category) -> int:
-    """A category id as a Python int: any Python or numpy integer; a bool, float or string is refused, not truncated."""
-    if not isinstance(category, bool):  # numpy's bool_ has no __index__, Python's bool is an int
+def as_int(value, message: str) -> int:
+    """``value`` as a Python int: any Python or numpy integer; a bool, float or string is refused, not truncated."""
+    if not isinstance(value, bool):  # numpy's bool_ has no __index__, Python's bool is an int
         try:
-            return operator.index(category)
+            return operator.index(value)
         except TypeError:
             pass
-    raise InvalidArgumentError(f"category ids must be integers, got {category!r}")
+    raise InvalidArgumentError(f"{message}, got {value!r}")
+
+
+def category_index(category) -> int:
+    """A category id as a Python int, by :func:`as_int`."""
+    return as_int(category, "category ids must be integers")
 
 
 def _one_bits(category: int) -> list[int]:

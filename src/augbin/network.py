@@ -58,7 +58,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import InvalidArgumentError, NumericError
-from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, _read_only, as_floats, ordered_sum
+from .layers import ENCODERS, AugmentedBinaryLayer, BatchPlan, Encoder, _read_only, as_floats, as_int, ordered_sum
 from .rng import SplitMix64
 
 
@@ -318,15 +318,16 @@ class NetworkConfig:
     def __post_init__(self):
         if self.encoder_kind not in tuple(ENCODERS):  # the kind may be unhashable
             raise InvalidArgumentError(f"unknown encoder kind {self.encoder_kind!r}")
-        if self.n_categories < 1:
-            raise InvalidArgumentError("n_categories must be >= 1")
-        if self.n_numeric < 0:
-            raise InvalidArgumentError("n_numeric must be >= 0")
-        if self.k < 1:
-            raise InvalidArgumentError("k must be >= 1")
-        for width in self.hidden:
-            if width < 1:
-                raise InvalidArgumentError("hidden widths must be >= 1")
+        # Held as Python ints: numpy ones overflow the draw counts.
+        for name in ("n_categories", "n_numeric", "k", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"{name} must be an integer"))
+        hidden = tuple(as_int(width, "hidden widths must be integers") for width in self.hidden)
+        object.__setattr__(self, "hidden", hidden)
+        for name, least in (("n_categories", 1), ("n_numeric", 0), ("k", 1)):
+            if getattr(self, name) < least:
+                raise InvalidArgumentError(f"{name} must be >= {least}")
+        if any(width < 1 for width in hidden):
+            raise InvalidArgumentError("hidden widths must be >= 1")
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -368,7 +369,7 @@ class SgdConfig:
             raise InvalidArgumentError("learning_rate must be positive")
         if not math.isfinite(self.learning_rate):
             raise InvalidArgumentError(f"learning_rate must be finite, got {self.learning_rate}")
-        if self.steps < 0:
+        if as_int(self.steps, "steps must be an integer") < 0:
             raise InvalidArgumentError("steps must be >= 0")
 
 

@@ -278,7 +278,7 @@ def test_verify_zero_tolerance_fails():
     assert run(["verify", "--steps", "10", "--tolerance", "0"]) == EXIT_FAIL
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_verify_rejects_a_tolerance_below_zero_or_nan(tolerance, capsys):
     assert run(["verify", "--steps", "5", f"--tolerance={tolerance}"]) == EXIT_USAGE
     assert "tolerance" in capsys.readouterr().err

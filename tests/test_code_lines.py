@@ -2,10 +2,13 @@
 
 A code line is a line that holds a token of code: docstrings (any statement
 that is a bare string), comments and blank lines do not count.  The budget
-holds ``layers.py``, ``network.py`` and the package total at the figures of
-the change that put every float input through one conversion rule
-(``layers.as_floats``); a change that needs more lines raises the figure
-here and says why.
+holds ``layers.py``, ``network.py``, ``harness.py`` and the package total at
+the figures of the change that gave each ``verify`` suite its own function
+(one probe loop for the isolation and control suites); a change that needs
+more lines raises the figure here and says why.  That change added the
+``harness.py`` budget, lowered the package's from 2048, and raised
+``layers.py``'s from 336: ``as_int`` now holds the integer rule that
+``category_index`` and the integer settings share.
 """
 
 import ast
@@ -14,9 +17,10 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "augbin"
-LAYERS_BUDGET = 336
+LAYERS_BUDGET = 338
 NETWORK_BUDGET = 263
-PACKAGE_BUDGET = 2048
+HARNESS_BUDGET = 351
+PACKAGE_BUDGET = 2037
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -51,4 +55,5 @@ def test_package_stays_within_its_code_line_budget():
     counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert counts["layers.py"] <= LAYERS_BUDGET, counts
     assert counts["network.py"] <= NETWORK_BUDGET, counts
+    assert counts["harness.py"] <= HARNESS_BUDGET, counts
     assert sum(counts.values()) <= PACKAGE_BUDGET, counts

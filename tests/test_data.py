@@ -506,6 +506,21 @@ def test_dataset_validates_ids_and_finiteness():
                 targets=np.zeros((4, 1)), schema=schema)
 
 
+@pytest.mark.parametrize("ids", [[1.5, True], [1, True], [np.True_], ["2"], [1, 2.0]])
+def test_dataset_refuses_ids_that_are_not_integers(ids):
+    schema = DatasetSchema(categorical="category", numerics=(), target="target")
+    with pytest.raises(InvalidArgumentError, match="category ids must be integers"):
+        Dataset(vocab=build_vocab(["a", "b"]), categories=ids, numerics=np.zeros((len(ids), 0)),
+                targets=np.zeros((len(ids), 1)), schema=schema)
+
+
+def test_dataset_takes_numpy_integer_ids_as_python_ints():
+    schema = DatasetSchema(categorical="category", numerics=(), target="target")
+    dataset = Dataset(vocab=build_vocab(["a", "b"]), categories=[np.int64(2), np.uint8(1), 2],
+                      numerics=np.zeros((3, 0)), targets=np.zeros((3, 1)), schema=schema)
+    assert dataset.categories == [2, 1, 2] and all(type(c) is int for c in dataset.categories)
+
+
 def test_dataset_rejects_a_schema_that_disagrees_with_its_numerics():
     schema = DatasetSchema(categorical="category", numerics=("x",), target="target")
     with pytest.raises(InvalidArgumentError, match="numeric columns"):

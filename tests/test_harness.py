@@ -754,8 +754,15 @@ def test_run_verification_default_suites_pass():
 
 
 def test_run_verification_passes_at_4096_categories():
-    outcome = run_verification(VerifyConfig(n_categories=4096))  # width 13
+    tracemalloc.start()
+    try:
+        outcome = run_verification(VerifyConfig(n_categories=4096))  # width 13
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert outcome.verdicts() == dict.fromkeys(outcome.suites, True)
+    # Each suite frees its networks and N x K tables when it returns.
+    assert peak <= 6 * 4096 * 8 * 8, peak / (4096 * 8 * 8)
 
 
 def test_run_verification_passes_at_65536_categories():
@@ -812,7 +819,7 @@ def test_zero_tolerance_fails_verification():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("tolerance", math.nan), ("tolerance", -1e-12), ("steps", -1)]
+    "field, value", [("tolerance", math.nan), ("tolerance", -1e-12), ("tolerance", math.inf), ("steps", -1)]
 )
 def test_verify_config_rejects_bad_settings(field, value):
     with pytest.raises(InvalidArgumentError, match=field):

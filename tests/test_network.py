@@ -21,6 +21,7 @@ from augbin import (
     RangeError,
     SgdConfig,
     SplitMix64,
+    VerifyConfig,
     build_network,
     build_onehot_twin,
     build_vocab,
@@ -157,6 +158,32 @@ def test_config_validation():
         NetworkConfig(encoder_kind="onehot", n_categories=0, n_numeric=0, k=1)
     with pytest.raises(InvalidArgumentError):
         NetworkConfig(encoder_kind="onehot", n_categories=3, n_numeric=0, k=1, hidden=(0,))
+
+
+_NETWORK_FIELDS = {"encoder_kind": "onehot", "n_categories": 3, "n_numeric": 0, "k": 1}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2", None], ids=repr)
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        *(pytest.param(lambda value, name=name: NetworkConfig(**{**_NETWORK_FIELDS, name: value}), name, id=name)
+          for name in ("n_categories", "n_numeric", "k", "seed")),
+        pytest.param(lambda value: NetworkConfig(**_NETWORK_FIELDS, hidden=(2, value)), "hidden widths", id="hidden"),
+        pytest.param(lambda value: SgdConfig(0.1, value), "steps", id="SgdConfig.steps"),
+        pytest.param(lambda value: VerifyConfig(steps=value), "steps", id="VerifyConfig.steps"),
+    ],
+)
+def test_integer_settings_refuse_a_bool_or_a_non_integer(make, field, value):
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must be"):
+        make(value)
+
+
+def test_integer_settings_take_numpy_integers():
+    config = NetworkConfig("augmented", np.int64(5), np.uint8(1), np.int32(2), hidden=(np.int64(2), 1), seed=np.uint64(3))
+    assert config == NetworkConfig("augmented", 5, 1, 2, hidden=(2, 1), seed=3)  # held as Python ints
+    assert build_network(config).predict(4, [0.5]).shape == (1,)
+    assert SgdConfig(0.1, np.int64(2)).steps == 2 and VerifyConfig(steps=np.int16(3)).steps == 3
 
 
 def test_forward_cache_shapes_and_output():
