@@ -20,6 +20,9 @@ lockstep drift gets a growth budget rather than a fixed bound.
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,38 +86,78 @@ def build_onehot_twin(net: Network) -> TwinPair:
     return TwinPair(augmented=net, onehot=twin)
 
 
-def _draw_examples(seed: int, n_categories: int, count: int, *widths: int) -> list:
+class Examples(Sequence):
+    """Generated examples held as arrays; row ``i`` is built when it is read.
+
+    Holds (count,) int64 ``categories`` and one (count, width) float64 array
+    per column.  Row ``i`` is ``(int(categories[i]), columns[0][i], ...)``:
+    a Python int, then views of row ``i`` of the shared column arrays, so a
+    write to a row's array is seen by every later read of that row.  Indices
+    and slices work as on a list; a slice is an ``Examples`` over views.
+    """
+
+    def __init__(self, categories: np.ndarray, *columns: np.ndarray):
+        self.categories = categories
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.categories)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Examples(self.categories[index], *(column[index] for column in self.columns))
+        index = operator.index(index)  # as a list: a bool is 0 or 1, a float is refused
+        return (int(self.categories[index]), *(column[index] for column in self.columns))
+
+    def __iter__(self):
+        # One C-level zip over the rows, not one __getitem__ call per row.
+        return zip(self.categories.tolist(), *self.columns)
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` as a Python int by :func:`as_int`, refused below ``least``; errors name ``name``."""
+    value = as_int(value, f"{name} must be an integer")
+    if value < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _draw_examples(seed: int, n_categories: int, count: int, **widths: int) -> tuple[np.ndarray, ...]:
     """``count`` rows of draws from one stream seeded with ``seed``, in row order.
 
     Each row is one category draw from 1..N, then one uniform(-1, 1) draw per
-    entry of each width.  Returns the Python ``int`` categories, then one
-    list of (width,) float64 arrays per width.
+    entry of each width, in keyword order.  Every argument is checked here,
+    and a bad one named.  Returns the (count,) int64 categories, then one
+    (count, width) float64 array per width, views of one block.
     """
+    seed = as_int(seed, "seed must be an integer")
+    n_categories, count = _count(n_categories, "n_categories", 1), _count(count, "count")
+    widths = [_count(width, name) for name, width in widths.items()]
     u = SplitMix64(seed).next_u64_block(count * (1 + sum(widths))).reshape(count, 1 + sum(widths))
-    categories = (below_draws(u[:, 0], n_categories) + 1).tolist()
+    categories = (below_draws(u[:, 0], n_categories) + 1).astype(np.int64)
     values = symmetric_draws(u[:, 1:], 1.0)
     bounds = np.cumsum((0, *widths))
-    return [categories, *(list(values[:, start:stop]) for start, stop in zip(bounds, bounds[1:]))]
+    return categories, *(values[:, start:stop] for start, stop in zip(bounds, bounds[1:]))
 
 
-def synthetic_stream(
-    seed: int, n_categories: int, n_numeric: int, target_width: int, count: int
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Deterministic (category, numerics, target) examples.
+def synthetic_stream(seed: int, n_categories: int, n_numeric: int, target_width: int, count: int) -> Examples:
+    """Deterministic (category, numerics, target) examples, as :class:`Examples`.
 
     Recipe, per example in order: one uniform category draw from 1..N, then
     n_numeric uniform(-1, 1) feature draws, then target_width uniform(-1, 1)
-    target draws, all from one stream seeded with ``seed``.
+    target draws, all from one stream seeded with ``seed``.  Each row is a
+    Python int and two views of the stream's shared float64 arrays.
     """
-    return list(zip(*_draw_examples(seed, n_categories, count, n_numeric, target_width)))
+    return Examples(*_draw_examples(seed, n_categories, count, n_numeric=n_numeric, target_width=target_width))
 
 
-def probe_inputs(seed: int, n_categories: int, n_numeric: int, count: int):
-    """Deterministic (category, numerics) pairs for forward-agreement probes.
+def probe_inputs(seed: int, n_categories: int, n_numeric: int, count: int) -> Examples:
+    """Deterministic (category, numerics) pairs for forward-agreement probes, as :class:`Examples`.
 
-    The recipe is :func:`synthetic_stream`'s without the targets.
+    The recipe is :func:`synthetic_stream`'s without the targets; each
+    row's numerics are a view of one shared float64 array.
     """
-    return list(zip(*_draw_examples(seed, n_categories, count, n_numeric)))
+    return Examples(*_draw_examples(seed, n_categories, count, n_numeric=n_numeric))
 
 
 def _worst(values) -> float:
@@ -166,7 +209,7 @@ def lockstep_train(
     the augmented encoder's effective contributions, which measures drift in
     parameter space.
     """
-    stream = list(stream)[: config.steps]
+    stream = list(itertools.islice(stream, config.steps))
     if len(stream) < config.steps:
         raise InvalidArgumentError(f"stream has {len(stream)} examples, need {config.steps}")
     trace = DivergenceTrace()
@@ -299,9 +342,9 @@ def brute_force_check(
     positions = {c: encode(c, width).positions for c in range(1, n_categories + 1)}
     bits = bit_matrix(np.arange(1, n_categories + 1), width)
 
-    categories, targets = _draw_examples(seed + 1, n_categories, steps, k)
+    categories, targets = _draw_examples(seed + 1, n_categories, steps, target_width=k)
     max_err = 0.0
-    for step, (category, target) in enumerate(zip(categories, targets)):
+    for step, (category, target) in enumerate(zip(categories.tolist(), targets)):
         delta = net.sgd_step(category, (), target, learning_rate)
         if corrupt_at is not None and corrupt_at[0] == step:
             encoder.cat_memory[corrupt_at[1] - 1, corrupt_at[2]] += 1e-3
@@ -345,8 +388,9 @@ class VerifyConfig:
     widths (sigmoid), then one identity output unit.  ``tolerance`` bounds
     the twin-agreement, isolation, replay, and folded-path suites; lockstep
     drift uses the quadratic growth budget and the gradient check uses its
-    own finite-difference tolerances.  ``steps`` and ``tolerance`` must be
-    >= 0, and the tolerance finite: the negative control must exceed it.
+    own finite-difference tolerances.  ``steps``, the probe counts,
+    ``gradcheck_configs`` and ``tolerance`` must be >= 0, the counts
+    integers and the tolerance finite: the negative control must exceed it.
     """
 
     seed: int = 0
@@ -363,8 +407,8 @@ class VerifyConfig:
     fault: str | None = None
 
     def __post_init__(self):
-        if as_int(self.steps, "steps must be an integer") < 0:
-            raise InvalidArgumentError(f"steps must be >= 0, got {self.steps}")
+        for name in ("steps", "forward_probes", "isolation_probes", "gradcheck_configs"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if not 0.0 <= self.tolerance < np.inf:
             raise InvalidArgumentError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 

@@ -8,7 +8,12 @@ the figures of the change that gave each ``verify`` suite its own function
 more lines raises the figure here and says why.  That change added the
 ``harness.py`` budget, lowered the package's from 2048, and raised
 ``layers.py``'s from 336: ``as_int`` now holds the integer rule that
-``category_index`` and the integer settings share.
+``category_index`` and the integer settings share.  The change that keeps
+generated examples as arrays raised ``harness.py``'s from 351 and the
+package's from 2037 by 22 lines: the ``Examples`` sequence, which holds a
+65536-example stream in 2.6 MB where a list of tuples held 22.3 MB, and the
+one integer check (``_count``) of the generators' arguments and of
+``VerifyConfig``'s counts.
 """
 
 import ast
@@ -19,8 +24,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "augbin"
 LAYERS_BUDGET = 338
 NETWORK_BUDGET = 263
-HARNESS_BUDGET = 351
-PACKAGE_BUDGET = 2037
+HARNESS_BUDGET = 373
+PACKAGE_BUDGET = 2059
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 

@@ -117,7 +117,7 @@ def loop_brute_force_check(n_categories, k, steps, seed, tolerance=1e-12, learni
     cat0 = encoder.cat_memory.copy()
     bitmem0 = encoder.bit_memory.copy()
     positions = {c: encode(c, encoder.width).positions for c in range(1, n_categories + 1)}
-    categories, targets = augbin.harness._draw_examples(seed + 1, n_categories, steps, k)
+    categories, targets = augbin.harness._draw_examples(seed + 1, n_categories, steps, target_width=k)
     history = []
     max_err = 0.0
     for step, (category, target) in enumerate(zip(categories, targets)):
@@ -285,8 +285,16 @@ def test_lockstep_zero_steps_gives_empty_trace():
 
 def test_lockstep_rejects_short_streams():
     pair = build_onehot_twin(_aug_net())
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="stream has 5 examples, need 10"):
         lockstep_train(pair, synthetic_stream(0, 9, 2, 1, 5), SgdConfig(0.1, 10))
+
+
+def test_lockstep_reads_only_the_steps_it_takes():
+    def stream():
+        yield from synthetic_stream(0, 9, 2, 1, 3)
+        raise AssertionError("read past the last step")
+
+    assert len(lockstep_train(build_onehot_twin(_aug_net()), stream(), SgdConfig(0.1, 3))) == 3
 
 
 def test_lockstep_single_category_stream_stays_tight():
@@ -719,6 +727,49 @@ def test_synthetic_stream_and_probes_equal_scalar_draws(seed, n_categories, n_nu
     _assert_same_examples(probe_inputs(seed, n_categories, n_numeric, count), [row[:2] for row in probes])
 
 
+def test_examples_index_slice_and_iterate_like_a_list():
+    stream = synthetic_stream(3, 37, 3, 2, 7)
+    rows = [stream[i] for i in range(len(stream))]
+    assert len(stream) == 7
+    _assert_same_examples(list(stream), rows)
+    _assert_same_examples([stream[-1]], rows[-1:])
+    _assert_same_examples(stream[2:6:2], rows[2:6:2])
+    assert isinstance(stream[1:3], augbin.harness.Examples)
+    for bad in (len(stream), -len(stream) - 1):
+        with pytest.raises(IndexError):
+            stream[bad]
+    with pytest.raises(TypeError):
+        stream[1.0]
+
+
+def test_synthetic_stream_holds_only_its_numbers():
+    # 65536 x (one int64 category, 3 numerics, 1 target) is 2.6 MB of numbers;
+    # a list of one tuple and two views per example retained 23.4 MB.
+    tracemalloc.start()
+    try:
+        stream = synthetic_stream(0, 65536, 3, 1, 65536)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == 65536
+    assert retained <= 3_000_000, retained
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((0, 10, -1, 1, 3), "n_numeric"), ((0, 10, 1, -1, 3), "target_width"), ((0, 10, 1, 1, 2.5), "count"),
+     ((0, 10, 1, 1, -1), "count"), ((0, 10, 1, 1, True), "count"), ((0, 0, 1, 1, 3), "n_categories"),
+     ((0, 2.0, 1, 1, 3), "n_categories"), ((1.5, 10, 1, 1, 3), "seed")],
+)
+def test_generators_name_a_bad_argument(args, name):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
+        synthetic_stream(*args)
+    seed, n_categories, n_numeric, _, count = args
+    if name != "target_width":
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
+            probe_inputs(seed, n_categories, n_numeric, count)
+
+
 def test_probe_inputs_do_not_call_synthetic_stream(monkeypatch):
     # The benchmark tracer times harness.synthetic_stream; probes must stay out of it.
     monkeypatch.setattr(augbin.harness, "synthetic_stream", None)
@@ -819,7 +870,10 @@ def test_zero_tolerance_fails_verification():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("tolerance", math.nan), ("tolerance", -1e-12), ("tolerance", math.inf), ("steps", -1)]
+    "field, value",
+    [("tolerance", math.nan), ("tolerance", -1e-12), ("tolerance", math.inf), ("steps", -1),
+     ("forward_probes", 2.5), ("isolation_probes", 2.5), ("isolation_probes", True), ("isolation_probes", -1),
+     ("gradcheck_configs", 1.5), ("gradcheck_configs", -1)],
 )
 def test_verify_config_rejects_bad_settings(field, value):
     with pytest.raises(InvalidArgumentError, match=field):
